@@ -158,6 +158,37 @@ func BenchmarkFormulate(b *testing.B) {
 	}
 }
 
+// BenchmarkWriteLP measures LP-format emission of an 8x8 model, the
+// export path to an external MILP solver (the paper's Gurobi runs).
+// MB/s is LP text per second.
+func BenchmarkWriteLP(b *testing.B) {
+	mg := mustMRRG(b, arch.GridSpec{Rows: 8, Cols: 8, Interconnect: arch.Orthogonal, Homogeneous: false, Contexts: 1})
+	m, reason, err := mapper.BuildModel(bench.MustGet("weighted_sum"), mg, mapper.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if m == nil {
+		b.Fatal(reason)
+	}
+	var n byteCounter
+	if err := m.WriteLP(&n); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.WriteLP(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// byteCounter is an io.Writer that only counts bytes.
+type byteCounter int64
+
+func (c *byteCounter) Write(p []byte) (int, error) { *c += byteCounter(len(p)); return len(p), nil }
+
 // BenchmarkSolveFeasible measures an end-to-end feasible ILP solve.
 func BenchmarkSolveFeasible(b *testing.B) {
 	b.ReportAllocs()

@@ -15,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -161,8 +162,7 @@ func run(o runOpts) (int, error) {
 		if err != nil {
 			return exitError, err
 		}
-		defer f.Close()
-		if err := model.WriteLP(f); err != nil {
+		if err := writeLP(f, model); err != nil {
 			return exitError, err
 		}
 		fmt.Printf("wrote %s (%d binaries, %d constraints)\n", o.lpOut, model.NumVars(), len(model.Constraints))
@@ -331,6 +331,17 @@ func postProcess(m *mapper.Mapping, g *dfg.Graph, showCfg, validate, floorplan b
 		fmt.Println("validated: simulated configuration matches DFG evaluation")
 	}
 	return nil
+}
+
+// writeLP writes m to w in LP format and closes w. A failed close fails
+// the export like a failed write: on a full disk or a network file
+// system it may be the only sign that the file is truncated.
+func writeLP(w io.WriteCloser, m *ilp.Model) error {
+	err := m.WriteLP(w)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func loadDFG(dfgFile, benchName string) (*dfg.Graph, error) {

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"cgramap/internal/ilp"
 )
 
 func TestLoadDFG(t *testing.T) {
@@ -140,5 +143,46 @@ func TestRunExitUnknown(t *testing.T) {
 	}
 	if code != exitUnknown {
 		t.Errorf("exit code %d for a timed-out solve, want %d", code, exitUnknown)
+	}
+}
+
+// closeFailer is a file whose Close fails, as on a full disk or a
+// network file system that reports the failure only at close.
+type closeFailer struct {
+	strings.Builder
+	writeErr, closeErr error
+	closed             bool
+}
+
+func (c *closeFailer) Write(p []byte) (int, error) {
+	if c.writeErr != nil {
+		return 0, c.writeErr
+	}
+	return c.Builder.Write(p)
+}
+
+func (c *closeFailer) Close() error {
+	c.closed = true
+	return c.closeErr
+}
+
+// TestWriteLPReportsCloseError: -lp must not report success when closing
+// the file fails; a write error still wins and the file is still closed.
+func TestWriteLPReportsCloseError(t *testing.T) {
+	m := ilp.NewModel("m")
+	m.AddLE("c", ilp.Sum(m.Binary("x")), 1)
+	errClose, errWrite := errors.New("close: no space left on device"), errors.New("write failed")
+
+	w := &closeFailer{closeErr: errClose}
+	if err := writeLP(w, m); !errors.Is(err, errClose) {
+		t.Fatalf("close failure: writeLP = %v, want %v", err, errClose)
+	}
+	w = &closeFailer{writeErr: errWrite, closeErr: errClose}
+	if err := writeLP(w, m); !errors.Is(err, errWrite) || !w.closed {
+		t.Fatalf("write failure: writeLP = %v (closed %v), want %v and a closed file", err, w.closed, errWrite)
+	}
+	w = &closeFailer{}
+	if err := writeLP(w, m); err != nil || !w.closed || !strings.Contains(w.String(), "Subject To") {
+		t.Fatalf("clean export: writeLP = %v, closed %v, output %q", err, w.closed, w.String())
 	}
 }

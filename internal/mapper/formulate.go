@@ -48,6 +48,10 @@ type formulation struct {
 	// infeasible holds a human-readable reason when the instance was
 	// proven infeasible during construction (presolve / pruning).
 	infeasible string
+
+	// countedVars is the F, R3 and R2 variable count worked out before
+	// any variable was created; symmetry aux variables come on top.
+	countedVars int
 }
 
 // kindSlots is the counting-presolve data for one operation kind.
@@ -244,12 +248,15 @@ type stamper struct {
 	// copies its input, so one buffer serves every constraint without
 	// per-constraint slice allocations.
 	terms []ilp.Term
-	// keys is the scratch buffer for iterating the routing-variable
-	// maps in sorted node order. Map iteration order must never reach
-	// the model: variable numbering and constraint order would then
-	// vary run to run, and with them the solver's entire search path —
+
+	// unions[valID] marks the nodes some sub-value of the value may
+	// use: its R2 variables. The stamp walks routing variables through
+	// these and the allowed sets, in node order, never through the
+	// routing-variable maps. Map iteration order must never reach the
+	// model: variable numbering and constraint order would then vary
+	// run to run, and with them the solver's entire search path —
 	// seeded runs have to be reproducible across processes.
-	keys []int
+	unions [][]bool
 
 	queue      []int
 	fwd, bwd   []bool
@@ -258,6 +265,11 @@ type stamper struct {
 	// tracks the high-water mark that must be re-zeroed before reuse.
 	boolArena []bool
 	boolUsed  int
+
+	// r3Vars and r2Vars count the routing variables computeAllowed's
+	// sets call for: the true entries of every sub-value's set, and of
+	// every value's union.
+	r3Vars, r2Vars int
 }
 
 // stamp emits the formulation for one context count. On success, either
@@ -306,21 +318,28 @@ func (s *stamper) run() error {
 		}
 	}
 
+	f.countedVars = s.r3Vars + s.r2Vars
+	for _, l := range s.legal {
+		f.countedVars += len(l)
+	}
 	if n := t.hintVars.Load(); n > 0 {
 		f.model.Reserve(int(n), int(t.hintCons.Load()), int(t.hintTerms.Load()))
+	} else {
+		f.model.Reserve(s.coldSize(f.countedVars))
 	}
 	s.createVars(allowed)
 	s.addPlacementConstraints()
-	s.addRoutingConstraints()
+	s.addRoutingConstraints(allowed)
 	if t.symmetry {
 		s.addSymmetryConstraints()
 	}
 	if t.objective == MinimizeRouting {
-		for j := range f.r2 {
-			s.keys = sortedKeys(s.keys, f.r2[j])
-			for _, i := range s.keys {
-				f.model.Objective = append(f.model.Objective,
-					ilp.Term{Var: f.r2[j][i], Coef: s.mg.Nodes[i].Cost})
+		for j, union := range s.unions {
+			for i, ok := range union {
+				if ok {
+					f.model.Objective = append(f.model.Objective,
+						ilp.Term{Var: f.r2[j][i], Coef: s.mg.Nodes[i].Cost})
+				}
 			}
 		}
 	}
@@ -337,6 +356,39 @@ func (s *stamper) run() error {
 	return nil
 }
 
+// coldSize sizes a template's first stamp, which has no hints yet, from
+// the exact variable count nvars: without it the model's variable and
+// constraint arrays grow append by append, allocating about five times
+// their final size. The constraint count is estimated per family from
+// the same counts. Placement, fanout-routing (5), resource-usage (8)
+// and initial-fanout (7) rows are exact; FU exclusivity is at most one
+// row per FU node; the rest (route and mux exclusivity, implied
+// placement, distinct ports) measured 0.23-0.42 rows per R2 variable
+// on the 8x8 export panel and is reserved at 3/4. Terms are estimated
+// low (3-8% under on that panel): an overflow only starts a new
+// term-arena chunk, while an overflowing constraint array is copied.
+func (s *stamper) coldSize(nvars int) (vars, cons, terms int) {
+	g, mg := s.t.g, s.mg
+	fvars, initial := nvars-s.r3Vars-s.r2Vars, 0
+	for _, v := range g.Vals() {
+		initial += len(v.Uses) * len(s.legal[v.Def.ID])
+	}
+	cons = g.NumOps() + len(mg.FuncUnits()) + initial + 2*s.r3Vars + 3*s.r2Vars/4
+	terms = 2*fvars + 2*initial + 5*s.r3Vars + s.r2Vars
+	if s.t.symmetry {
+		// Each lex chain has at most maxLexPositions-1 aux variables
+		// and six clauses of at most four terms per position.
+		chains := len(s.t.valueSwaps)
+		if s.t.syms != nil {
+			chains += len(s.t.syms.Gens)
+		}
+		nvars += chains * (maxLexPositions - 1)
+		cons += 1 + chains*(1+6*(maxLexPositions-1))
+		terms += chains * 4 * 6 * maxLexPositions
+	}
+	return nvars, cons, terms
+}
+
 // storeMax raises a to v unless a concurrent stamp already recorded a
 // larger model.
 func storeMax(a *atomic.Int64, v int64) {
@@ -346,16 +398,6 @@ func storeMax(a *atomic.Int64, v int64) {
 			return
 		}
 	}
-}
-
-// sortedKeys returns m's keys ascending, reusing buf.
-func sortedKeys(buf []int, m map[int]ilp.Var) []int {
-	buf = buf[:0]
-	for i := range m {
-		buf = append(buf, i)
-	}
-	sort.Ints(buf)
-	return buf
 }
 
 // boolSlice carves a zeroed n-bool slice from the arena.
@@ -455,19 +497,34 @@ func (s *stamper) computeAllowed() [][][]bool {
 	g, mg := s.t.g, s.mg
 	nNodes := len(mg.Nodes)
 	s.boolUsed = 0
+	s.r3Vars, s.r2Vars = 0, 0
 	allowed := make([][][]bool, g.NumVals())
+	if cap(s.unions) < g.NumVals() {
+		s.unions = make([][]bool, g.NumVals())
+	}
+	s.unions = s.unions[:g.NumVals()]
 
 	if s.t.disablePruning {
 		// Every sub-value shares one read-only mask of all routing
 		// nodes.
-		all := s.boolSlice(nNodes)
+		all, none := s.boolSlice(nNodes), s.boolSlice(nNodes)
+		routes := 0
 		for i, n := range mg.Nodes {
 			all[i] = n.Kind == mrrg.RouteRes
+			if all[i] {
+				routes++
+			}
 		}
 		for _, v := range g.Vals() {
 			allowed[v.ID] = make([][]bool, len(v.Uses))
 			for k := range v.Uses {
 				allowed[v.ID][k] = all
+			}
+			s.r3Vars += routes * len(v.Uses)
+			s.unions[v.ID] = none
+			if len(v.Uses) > 0 {
+				s.unions[v.ID] = all
+				s.r2Vars += routes
 			}
 		}
 		return allowed
@@ -479,6 +536,8 @@ func (s *stamper) computeAllowed() [][][]bool {
 	}
 	fwd, bwd := s.fwd[:nNodes], s.bwd[:nNodes]
 	for _, v := range g.Vals() {
+		union := s.boolSlice(nNodes)
+		s.unions[v.ID] = union
 		// Forward reachability from every legal producer output.
 		clear(fwd)
 		queue := s.queue[:0]
@@ -521,12 +580,19 @@ func (s *stamper) computeAllowed() [][][]bool {
 				}
 			}
 			set := s.boolSlice(nNodes)
-			any := false
+			trues := 0
 			for i := range set {
-				set[i] = fwd[i] && bwd[i]
-				any = any || set[i]
+				if fwd[i] && bwd[i] {
+					set[i] = true
+					trues++
+					if !union[i] {
+						union[i] = true
+						s.r2Vars++
+					}
+				}
 			}
-			if !any {
+			s.r3Vars += trues
+			if trues == 0 {
 				s.f.infeasible = fmt.Sprintf("value %s cannot reach %s.op%d on this architecture",
 					v.Name, u.Op.Name, u.Operand)
 				s.queue = queue[:0]
@@ -602,27 +668,36 @@ func (s *stamper) createVars(allowed [][][]bool) {
 	f.r2 = make([]map[int]ilp.Var, g.NumVals())
 	for _, v := range g.Vals() {
 		f.r3[v.ID] = make([]map[int]ilp.Var, len(v.Uses))
-		union := make(map[int]bool)
 		for k := range v.Uses {
-			f.r3[v.ID][k] = make(map[int]ilp.Var)
-			for i, ok := range allowed[v.ID][k] {
-				if !ok {
-					continue
+			set := allowed[v.ID][k]
+			rk := make(map[int]ilp.Var, countTrue(set))
+			for i, ok := range set {
+				if ok {
+					rk[i] = f.model.BinaryComposite("R", mg.Nodes[i].Name, v.Name, k)
 				}
-				f.r3[v.ID][k][i] = f.model.BinaryComposite("R", mg.Nodes[i].Name, v.Name, k)
-				union[i] = true
+			}
+			f.r3[v.ID][k] = rk
+		}
+		union := s.unions[v.ID]
+		r2 := make(map[int]ilp.Var, countTrue(union))
+		for i, ok := range union {
+			if ok {
+				r2[i] = f.model.BinaryComposite("R", mg.Nodes[i].Name, v.Name, -1)
 			}
 		}
-		f.r2[v.ID] = make(map[int]ilp.Var, len(union))
-		s.keys = s.keys[:0]
-		for i := range union {
-			s.keys = append(s.keys, i)
-		}
-		sort.Ints(s.keys)
-		for _, i := range s.keys {
-			f.r2[v.ID][i] = f.model.BinaryComposite("R", mg.Nodes[i].Name, v.Name, -1)
+		f.r2[v.ID] = r2
+	}
+}
+
+// countTrue returns the number of true entries of set.
+func countTrue(set []bool) int {
+	n := 0
+	for _, ok := range set {
+		if ok {
+			n++
 		}
 	}
+	return n
 }
 
 // addPlacementConstraints emits constraints (1) and (2).
@@ -651,26 +726,28 @@ func (s *stamper) addPlacementConstraints() {
 }
 
 // addRoutingConstraints emits constraints (4) through (9).
-func (s *stamper) addRoutingConstraints() {
+func (s *stamper) addRoutingConstraints(allowed [][][]bool) {
 	f, g, mg := s.f, s.t.g, s.mg
 	// (4) Route Exclusivity: at most one value per routing node.
-	perNode := make(map[int][]ilp.Term)
-	for _, v := range g.Vals() {
-		for i, rv := range f.r2[v.ID] {
-			perNode[i] = append(perNode[i], ilp.Term{Var: rv, Coef: 1})
-		}
-	}
 	for i := range mg.Nodes {
-		if terms := perNode[i]; len(terms) > 1 {
-			f.model.AddLE("route-exclusivity", terms, 1)
+		s.terms = s.terms[:0]
+		for _, v := range g.Vals() {
+			if s.unions[v.ID][i] {
+				s.terms = append(s.terms, ilp.Term{Var: f.r2[v.ID][i], Coef: 1})
+			}
+		}
+		if len(s.terms) > 1 {
+			f.model.AddLE("route-exclusivity", s.terms, 1)
 		}
 	}
 
 	for _, v := range g.Vals() {
 		for k, u := range v.Uses {
 			rk := f.r3[v.ID][k]
-			s.keys = sortedKeys(s.keys, rk)
-			for _, i := range s.keys {
+			for i, ok := range allowed[v.ID][k] {
+				if !ok {
+					continue
+				}
 				rv := rk[i]
 				node := mg.Nodes[i]
 				// (5) Fanout Routing: a used node drives a
@@ -753,12 +830,11 @@ func (s *stamper) addRoutingConstraints() {
 			}
 			k0 := useIndex(v, op, 0)
 			k1 := useIndex(v, op, 1)
-			s.keys = sortedKeys(s.keys, f.r3[v.ID][k0])
-			for _, i := range s.keys {
-				rv0 := f.r3[v.ID][k0][i]
-				if mg.Nodes[i].OperandPort < 0 {
+			for i, ok := range allowed[v.ID][k0] {
+				if !ok || mg.Nodes[i].OperandPort < 0 {
 					continue
 				}
+				rv0 := f.r3[v.ID][k0][i]
 				if rv1, ok := f.r3[v.ID][k1][i]; ok {
 					f.model.AddLE("distinct-ports",
 						[]ilp.Term{{Var: rv0, Coef: 1}, {Var: rv1, Coef: 1}}, 1)
@@ -770,13 +846,12 @@ func (s *stamper) addRoutingConstraints() {
 		// nodes the value enters through exactly as many inputs as
 		// the node is used — preventing self-reinforcing loops
 		// (paper Example 2) and forcing per-value route trees.
-		s.keys = sortedKeys(s.keys, f.r2[v.ID])
-		for _, i := range s.keys {
-			rv := f.r2[v.ID][i]
-			node := mg.Nodes[i]
-			if len(node.Fanins) <= 1 {
+		for i, ok := range s.unions[v.ID] {
+			if !ok || len(mg.Nodes[i].Fanins) <= 1 {
 				continue
 			}
+			node := mg.Nodes[i]
+			rv := f.r2[v.ID][i]
 			s.terms = append(s.terms[:0], ilp.Term{Var: rv, Coef: -1})
 			for _, m := range node.Fanins {
 				if mv, ok := f.r2[v.ID][m]; ok {
