@@ -193,14 +193,6 @@ func NewParallelCDCLSolver(workers int, seed int64) Solver {
 	return cdcl.NewParallel(workers, seed)
 }
 
-// NewIncrementalCDCLSolver returns an assumption-based incremental CDCL
-// session: successive Solve calls on related models reuse learnt clauses
-// and warm-started variable phases, which is what makes auto-II ladders
-// cheap (see MapOptions.Incremental for the ladder shortcut that wires
-// one up automatically). Sessions are stateful and not safe for
-// concurrent use; seed 0 keeps the engine defaults.
-func NewIncrementalCDCLSolver(seed int64) Solver { return cdcl.NewSession(seed) }
-
 // SetWorkerBudget caps the number of extra solver workers the whole
 // process may run concurrently — shared by parallel gangs, speculative
 // MapAuto sweeps, portfolio races and the job service. The default is

@@ -43,7 +43,6 @@ type runOpts struct {
 	fallback, useSA              bool
 	workers                      int
 	autoII                       int
-	incremental                  bool
 	symmetry                     string
 	artifactCache                int
 	seed                         int64
@@ -69,7 +68,6 @@ func main() {
 	flag.BoolVar(&o.useSA, "anneal", false, "use the simulated-annealing mapper instead of ILP")
 	flag.IntVar(&o.workers, "workers", 0, "parallel solver workers: the clause-sharing gang width and the process worker budget (0 = all CPUs or $CGRAMAP_WORKERS; 1 = sequential, bit-reproducible with -seed)")
 	flag.IntVar(&o.autoII, "auto-ii", 0, "search for the provably smallest initiation interval up to this bound (overrides -contexts; exact engines only)")
-	flag.BoolVar(&o.incremental, "incremental", false, "solve the auto-II ladder through one incremental CDCL session (learnt clauses carry across IIs; same answer, usually faster)")
 	flag.StringVar(&o.symmetry, "symmetry", "auto", "symmetry-breaking constraints from verified fabric automorphisms: auto (on for -auto-ii, off otherwise) | on | off; same answer either way")
 	flag.IntVar(&o.artifactCache, "artifact-cache", 16, "artifact cache entries per class (cached MRRGs and formulation templates reused across the run; <= 0 disables)")
 	flag.Int64Var(&o.seed, "seed", 0, "base solver seed (0 = the engine default)")
@@ -131,7 +129,7 @@ func run(o runOpts) (int, error) {
 	if err != nil {
 		return exitError, err
 	}
-	opts := mapper.Options{Workers: workers, Seed: o.seed, Incremental: o.incremental, Symmetry: sym}
+	opts := mapper.Options{Workers: workers, Seed: o.seed, Symmetry: sym}
 	if o.artifactCache > 0 {
 		opts.Artifacts = mapper.NewArtifactCache(o.artifactCache)
 	}
@@ -239,15 +237,13 @@ func run(o runOpts) (int, error) {
 }
 
 // runAutoII sweeps the II ladder for the provably smallest initiation
-// interval, sequentially or speculatively (and, with -incremental,
-// through one incremental CDCL session per lane).
+// interval, sequentially or speculatively.
 func runAutoII(ctx context.Context, g *dfg.Graph, a *arch.Arch, o runOpts, workers int, opts mapper.Options) (int, error) {
 	if o.engine == "portfolio" {
 		// Exact engines only inside the ladder: a heuristic miss at some
 		// II proves nothing about that II.
 		opts.MapWith = portfolio.MapFunc(portfolio.Options{
-			DisableFallback: true, Workers: workers, Seed: o.seed,
-			Incremental: o.incremental})
+			DisableFallback: true, Workers: workers, Seed: o.seed})
 	}
 	start := time.Now()
 	auto, err := mapper.MapAuto(ctx, g, a, o.autoII, opts)

@@ -40,7 +40,6 @@ func main() {
 		workers      = flag.Int("workers", 4, "solver worker pool size (concurrent jobs)")
 		solveWorkers = flag.Int("solve-workers", 0, "parallel solver workers inside each job: clause-sharing gang width and process worker budget (0 = all CPUs or $CGRAMAP_WORKERS; 1 = sequential solves)")
 		seed         = flag.Int64("seed", 0, "base solver seed for every job (0 = engine defaults)")
-		incremental  = flag.Bool("incremental", false, "default every job to incremental CDCL sessions (auto-II ladders reuse learnt clauses; clients can also opt in per job)")
 		symmetry     = flag.String("symmetry", "auto", "server-wide symmetry-breaking default for jobs that submit \"auto\": auto (on for auto-II, off at fixed II) | on | off")
 		queue        = flag.Int("queue", 64, "max queued solves before 429 backpressure")
 		cacheSize    = flag.Int("cache", 512, "result cache entries (negative disables)")
@@ -83,7 +82,6 @@ func main() {
 		DegradedDeadline:     *degradedBy,
 		SolveWorkers:         sw,
 		Seed:                 *seed,
-		Incremental:          *incremental,
 		Symmetry:             sym,
 		Logf:                 logger.Printf,
 	}

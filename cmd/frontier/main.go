@@ -130,7 +130,6 @@ func runFrontier(args []string, stdout io.Writer) error {
 	daemon := fs.String("daemon", "", "solve via a cgramapd server at this URL instead of in-process")
 	workers := fs.Int("workers", 1, "solver workers per probe (1 = sequential, reproducible)")
 	seedSolver := fs.Int64("solver-seed", 0, "solver seed (0 = engine defaults)")
-	incremental := fs.Bool("incremental", false, "share an incremental CDCL session across each boundary's probes (cdcl engine; forwarded to a daemon)")
 	symmetry := fs.String("symmetry", "auto", "symmetry-breaking constraints per probe: auto (off at fixed II) | on | off; same answer either way")
 	artifactCache := fs.Int("artifact-cache", 32, "artifact cache entries per class (cached MRRGs and formulation templates shared across probes; <= 0 disables)")
 	fallback := fs.Bool("fallback", false, "portfolio only: allow heuristic witnesses")
@@ -163,7 +162,7 @@ func runFrontier(args []string, stdout io.Writer) error {
 			spec.IIs = append(spec.IIs, ii)
 		}
 	}
-	mOpts, err := probeOptions(*engine, *daemon, *workers, *seedSolver, *fallback, *incremental)
+	mOpts, err := probeOptions(*engine, *daemon, *workers, *seedSolver, *fallback)
 	if err != nil {
 		return err
 	}
@@ -216,7 +215,7 @@ func runFrontier(args []string, stdout io.Writer) error {
 // URL reroutes every probe through the cgramapd job service (failing
 // fast if the server is unreachable), otherwise the engine solves
 // in-process.
-func probeOptions(engine, daemon string, workers int, seed int64, fallback, incremental bool) (mapper.Options, error) {
+func probeOptions(engine, daemon string, workers int, seed int64, fallback bool) (mapper.Options, error) {
 	if workers < 0 {
 		return mapper.Options{}, fmt.Errorf("-workers must be non-negative")
 	}
@@ -226,7 +225,7 @@ func probeOptions(engine, daemon string, workers int, seed int64, fallback, incr
 	if workers == 0 {
 		workers = budget.Global().Size()
 	}
-	opts := mapper.Options{Workers: workers, Seed: seed, Incremental: incremental}
+	opts := mapper.Options{Workers: workers, Seed: seed}
 	switch engine {
 	case "cdcl", "bb", "portfolio":
 	default:
@@ -247,8 +246,7 @@ func probeOptions(engine, daemon string, workers int, seed int64, fallback, incr
 		opts.Solver = bb.New()
 	case "portfolio":
 		opts.MapWith = portfolio.MapFunc(portfolio.Options{
-			DisableFallback: !fallback, Workers: workers, Seed: seed,
-			Incremental: incremental})
+			DisableFallback: !fallback, Workers: workers, Seed: seed})
 	}
 	return opts, nil
 }

@@ -155,8 +155,9 @@ func (m *Model) NumVars() int { return len(m.names) }
 // its diagnostic name, comparable and hashable. Successive models of one
 // instance family (the II ladder, an architecture sweep) name the same
 // decision identically — "F[op,fu@ctx]" denotes the same
-// placement at every II — so incremental solvers use VarKey to unify
-// variables across models and carry learnt state between solves.
+// placement at every II — so VarKey identifies a variable across models
+// independently of its index, which is how stamped models are compared
+// against freshly built ones.
 type VarKey struct {
 	Prefix, A, B string
 	K            int32

@@ -101,7 +101,7 @@ func (c *ArtifactCache) MRRG(a *arch.Arch) (*mrrg.Graph, error) {
 // because a template is II-independent: every II of one fabric shares
 // the entry. The formulation options that shape the template (objective
 // mode, pruning, presolve, symmetry) are part of the key; solver-side
-// options (workers, seed, incremental) are not — they never reach the
+// options (workers, seed) are not — they never reach the
 // formulation. Symmetry must be resolved (never SymmetryAuto) by the
 // time a template is requested, so the key is well-defined.
 func templateKey(g *dfg.Graph, a *arch.Arch, opts Options) string {

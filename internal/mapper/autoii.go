@@ -10,15 +10,7 @@ import (
 	"cgramap/internal/ilp"
 	"cgramap/internal/mrrg"
 	"cgramap/internal/sched"
-	"cgramap/internal/solve/cdcl"
 )
-
-// incrementalEligible reports whether the auto-II sweep may thread an
-// incremental session through its attempts: the caller asked for it and
-// has not supplied its own solver or orchestrator.
-func incrementalEligible(opts Options) bool {
-	return opts.Incremental && opts.Solver == nil && opts.MapWith == nil
-}
 
 // AutoResult reports an automatic II search.
 type AutoResult struct {
@@ -87,11 +79,6 @@ func MapAuto(ctx context.Context, g *dfg.Graph, a *arch.Arch, maxII int, opts Op
 	}
 	if opts.Workers > 1 {
 		return mapAutoSpeculative(ctx, g, a, start, maxII, opts, mg1)
-	}
-	if incrementalEligible(opts) {
-		// One session carries learnt clauses and warm-started phases up
-		// the whole ladder.
-		opts.Solver = cdcl.NewSession(opts.Seed)
 	}
 
 	auto := &AutoResult{}
@@ -169,22 +156,10 @@ func mapAutoSpeculative(ctx context.Context, g *dfg.Graph, a *arch.Arch, start, 
 	}
 
 	type outcome struct {
-		ii   int
-		res  *Result
-		err  error
-		sess *cdcl.Session
+		ii  int
+		res *Result
+		err error
 	}
-	// With Incremental set, speculative lanes each own an incremental
-	// session: a lane that finishes one II hands its session (and the
-	// learnt state of the shared constraint prefix) to the next attempt
-	// launched. Sessions are never shared between in-flight goroutines —
-	// the pool is touched only by this coordinator, and the hand-off
-	// through the outcomes channel orders the accesses. No clause import
-	// happens across lanes: each session is a separate solver namespace,
-	// which keeps clause carrying sound without cross-lane locking.
-	useInc := incrementalEligible(opts)
-	var sessPool []*cdcl.Session
-	sessMade := int64(0)
 	outcomes := make(chan outcome, opts.Workers)
 	results := make(map[int]*Result)
 	cancels := make(map[int]context.CancelFunc)
@@ -204,7 +179,6 @@ func mapAutoSpeculative(ctx context.Context, g *dfg.Graph, a *arch.Arch, start, 
 				pool.Release(1)
 			}
 		}
-		sessPool = nil
 	}
 	defer drain()
 
@@ -219,27 +193,9 @@ func mapAutoSpeculative(ctx context.Context, g *dfg.Graph, a *arch.Arch, start, 
 			actx, cancel := context.WithCancel(ctx)
 			cancels[ii] = cancel
 			inflight++
-			aopts := opts
-			var sess *cdcl.Session
-			if useInc {
-				if n := len(sessPool); n > 0 {
-					sess = sessPool[n-1]
-					sessPool = sessPool[:n-1]
-				} else {
-					seed := opts.Seed
-					if seed != 0 {
-						// Lanes must not share a trajectory; derive
-						// per-session seeds deterministically.
-						seed += sessMade * 0x9e3779b9
-					}
-					sessMade++
-					sess = cdcl.NewSession(seed)
-				}
-				aopts.Solver = sess
-			}
 			go func() {
-				res, err := mapAtII(actx, g, a, ii, aopts, mg1)
-				outcomes <- outcome{ii, res, err, sess}
+				res, err := mapAtII(actx, g, a, ii, opts, mg1)
+				outcomes <- outcome{ii, res, err}
 			}()
 		}
 		if inflight == 0 {
@@ -252,11 +208,6 @@ func mapAutoSpeculative(ctx context.Context, g *dfg.Graph, a *arch.Arch, start, 
 		if paid[o.ii] {
 			pool.Release(1)
 			delete(paid, o.ii)
-		}
-		if o.sess != nil {
-			// The lane's goroutine has exited; its session is free to be
-			// warm-started by the next attempt launched.
-			sessPool = append(sessPool, o.sess)
 		}
 		if o.err != nil {
 			return nil, o.err

@@ -47,18 +47,6 @@ type Options struct {
 	// Seed fixes the solver's search trajectory (and derives the
 	// diversified trajectories of a parallel gang).
 	Seed int64
-	// Incremental makes MapAuto solve the II ladder through an
-	// assumption-based incremental CDCL session instead of independent
-	// from-scratch solves: the solver stays alive across II bumps,
-	// constraints shared between successive formulations keep their
-	// learnt clauses, and placement variables warm-start from the
-	// previous II's trajectory. With Workers > 1 each speculative lane
-	// owns its own session (contexts are never shared across
-	// goroutines). Sweep drivers (the frontier engine, the service's
-	// auto-II jobs) honour the flag too. Ignored when Solver or MapWith
-	// is set. The minimal II and every per-II status are unchanged —
-	// incremental solving only changes how fast the answer arrives.
-	Incremental bool
 	// Symmetry controls symmetry-breaking constraints: verified fabric
 	// automorphisms (arch.Discover) become lex-leader and orbit-fixing
 	// constraints, and interchangeable commutative operands are ordered
@@ -66,8 +54,8 @@ type Options struct {
 	// MapAuto sweeps and off for direct Map/BuildModel calls. Symmetry
 	// breaking removes symmetric duplicates from the search space but
 	// never an entire solution orbit, so feasibility status, minimal II
-	// and optimal objective are unchanged — like Workers, Seed and
-	// Incremental it is a speed knob, exempt from job fingerprints.
+	// and optimal objective are unchanged — like Workers and Seed it is
+	// a speed knob, exempt from job fingerprints.
 	Symmetry SymmetryMode
 	// Budget pays for parallelism beyond the caller's own goroutine;
 	// nil selects the process-wide budget.Global pool.

@@ -305,8 +305,9 @@ func (s *stamper) addValueSwap(a, b int) {
 //	e_{i-1} -> x_{i+1} <= y_{i+1}
 //
 // Aux variables are named by (group, generator, slot), so identical
-// slots across the II ladder produce identical ilp.VarKeys and an
-// incremental session unifies them like any formulation variable.
+// slots across the II ladder produce identical ilp.VarKeys, and the
+// stamped model names them as deterministically as any formulation
+// variable.
 func (s *stamper) addLexChain(group, gen string, pos []lexPosition) {
 	if len(pos) == 0 {
 		return

@@ -67,13 +67,6 @@ type Options struct {
 	// the strategy narrows rather than oversubscribes when the machine
 	// is busy.
 	Workers int
-	// Incremental adds an assumption-based incremental CDCL strategy
-	// ("cdcl-inc") to the race: one cdcl.Session is kept across the
-	// strategy's attempts, so a retry after a timeout resumes with every
-	// clause the failed attempt learnt instead of starting over. The
-	// session's poisoning guard makes this safe even when an attempt
-	// panics and is contained by the race harness.
-	Incremental bool
 	// DisableFallback drops the annealing strategy, leaving only exact
 	// engines.
 	DisableFallback bool
@@ -223,12 +216,6 @@ func strategies(g *dfg.Graph, mg *mrrg.Graph, opts Options) []strategy {
 			pe.Budget = opts.Mapper.Budget
 			return pe
 		}))
-	}
-	if opts.Incremental {
-		// One session for every attempt of this strategy: retries keep
-		// the learnt clauses of the attempts that timed out.
-		sess := cdcl.NewSession(deriveSeed(opts.Seed, len(sts), 0))
-		sts = append(sts, exact("cdcl-inc", func(int) ilp.Solver { return sess }))
 	}
 	if !opts.DisableBB {
 		sts = append(sts, exact("bb", func(int) ilp.Solver { return bb.New() }))

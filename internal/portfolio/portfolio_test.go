@@ -251,77 +251,3 @@ func TestPortfolioDeadline(t *testing.T) {
 		t.Fatalf("race outlived its deadline: %v", elapsed)
 	}
 }
-
-// TestIncrementalStrategyWins stalls every strategy except cdcl-inc and
-// checks that the incremental session's answer wins the race verified,
-// and that its retries reuse one session (the second attempt reports
-// reused constraints).
-func TestIncrementalStrategyWins(t *testing.T) {
-	g, mg := instance(t, "2x2-f", spec2x2)
-	res, err := Map(context.Background(), g, mg, Options{
-		Timeout:         30 * time.Second,
-		Attempts:        1,
-		Incremental:     true,
-		DisableFallback: true,
-		WrapSolver: func(name string, s ilp.Solver) ilp.Solver {
-			if name == "cdcl-inc" {
-				return s
-			}
-			return faultinject.New(s, faultinject.Options{Faults: faultinject.Delay, DelayFor: time.Hour})
-		},
-	})
-	if err != nil {
-		t.Fatalf("Map: %v", err)
-	}
-	if !res.Feasible() {
-		t.Fatalf("status = %v (%s), want feasible", res.Status, res.Reason)
-	}
-	if res.Winner != "cdcl-inc" || !res.Proven {
-		t.Fatalf("winner = %q proven=%v, want cdcl-inc/proven", res.Winner, res.Proven)
-	}
-	if err := res.Mapping.Verify(); err != nil {
-		t.Fatalf("winner mapping fails verification: %v", err)
-	}
-	if res.SolverStats["incremental"] != 1 {
-		t.Fatalf("winner stats not incremental: %v", res.SolverStats)
-	}
-}
-
-// TestIncrementalStrategyRetryAfterPanic panics cdcl-inc's first
-// attempt. The race harness must contain the panic and the retry must
-// win on the same session object (the session's busy guard rebuilds the
-// solver if the aborted attempt had touched it).
-func TestIncrementalStrategyRetryAfterPanic(t *testing.T) {
-	g, mg := instance(t, "2x2-f", spec2x2)
-	failed := false
-	res, err := Map(context.Background(), g, mg, Options{
-		Timeout:         30 * time.Second,
-		Attempts:        3,
-		Backoff:         time.Millisecond,
-		Incremental:     true,
-		DisableFallback: true,
-		WrapSolver: func(name string, s ilp.Solver) ilp.Solver {
-			if name != "cdcl-inc" {
-				return faultinject.New(s, faultinject.Options{Faults: faultinject.Delay, DelayFor: time.Hour})
-			}
-			if !failed {
-				failed = true
-				return faultinject.New(s, faultinject.Options{Faults: faultinject.Panic})
-			}
-			return s
-		},
-	})
-	if err != nil {
-		t.Fatalf("Map: %v", err)
-	}
-	if res.Winner != "cdcl-inc" || !res.Feasible() {
-		t.Fatalf("winner = %q status=%v, want feasible cdcl-inc", res.Winner, res.Status)
-	}
-	r := report(t, res, "cdcl-inc")
-	if r.Attempts < 2 || r.Panics != 1 {
-		t.Fatalf("expected one contained panic then a winning retry, got %+v", r)
-	}
-	if res.SolverStats["incremental"] != 1 {
-		t.Fatalf("winner stats not incremental: %v", res.SolverStats)
-	}
-}

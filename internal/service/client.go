@@ -358,10 +358,9 @@ func (c *Client) MapFunc(engine string) mapper.MapFunc {
 			Engine:     engine,
 			Objective:  objective,
 			DeadlineMS: deadlineMS,
-			// Forward the local speed-knob preferences: a remote auto-II
-			// or portfolio job honours them server-side.
-			Incremental: opts.Incremental,
-			Symmetry:    opts.Symmetry.String(),
+			// Forward the local symmetry preference: a remote auto-II or
+			// portfolio job honours it server-side.
+			Symmetry: opts.Symmetry.String(),
 		})
 		if err != nil {
 			return nil, err

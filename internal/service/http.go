@@ -7,6 +7,11 @@ import (
 	"strconv"
 )
 
+// maxRequestBytes caps a job submission's body, so one client cannot
+// make the daemon buffer an arbitrarily large request. A DFG plus an
+// architecture description is far smaller; larger bodies get 413.
+const maxRequestBytes = 8 << 20
+
 // Handler returns the server's HTTP API:
 //
 //	POST   /v1/jobs             submit a mapping job (JobRequest -> JobStatus)
@@ -23,7 +28,14 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req JobRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				s.writeError(w, errf(http.StatusRequestEntityTooLarge,
+					"request body exceeds %d bytes", tooBig.Limit))
+				return
+			}
 			s.writeError(w, errf(400, "decoding request: %v", err))
 			return
 		}

@@ -88,15 +88,9 @@ type JobRequest struct {
 	AutoII int `json:"auto_ii,omitempty"`
 	// Engine selects cdcl (default), bb, portfolio, or anneal.
 	Engine string `json:"engine,omitempty"`
-	// Incremental solves an auto-II job through an assumption-based
-	// incremental CDCL session (the solver carries learnt clauses up the
-	// II ladder), and adds the incremental strategy to a portfolio race.
-	// Purely a speed knob: the answer is unchanged.
-	Incremental bool `json:"incremental,omitempty"`
 	// Symmetry controls symmetry-breaking constraints: "auto" (default:
 	// on for auto-II ladders, off at a fixed context count), "on" or
-	// "off". Like Incremental it is purely a speed knob — the answer is
-	// unchanged.
+	// "off". It is purely a speed knob — the answer is unchanged.
 	Symmetry string `json:"symmetry,omitempty"`
 	// Objective is "feasibility" (default) or "routing".
 	Objective string `json:"objective,omitempty"`
@@ -121,23 +115,18 @@ type JobSpec struct {
 	// Seed fixes the base search trajectory (also fingerprint-exempt:
 	// every trajectory proves the same answer).
 	Seed int64
-	// Incremental threads an incremental CDCL session through auto-II
-	// ladders and adds the cdcl-inc strategy to portfolio races. Like
-	// Workers and Seed it is fingerprint-exempt — it changes the solve
-	// trajectory, never the answer.
-	Incremental bool
 	// Symmetry selects the symmetry-breaking mode for the job's
 	// formulations. Symmetry breaking removes symmetric duplicates from
 	// the search space but never a whole solution orbit, so it is
-	// fingerprint-exempt like Workers, Seed and Incremental: it changes
-	// how fast the answer arrives, never what it is.
+	// fingerprint-exempt like Workers and Seed: it changes how fast the
+	// answer arrives, never what it is.
 	Symmetry mapper.SymmetryMode
 	// Artifacts is the server-wide artifact cache (MRRGs, formulation
-	// templates), stamped onto every spec at parse time. Like Workers,
-	// Seed and Incremental it is fingerprint-exempt: stamped
-	// formulations are byte-identical to scratch ones, so the cache
-	// changes how fast the answer arrives, never what it is. Nil when
-	// artifact caching is disabled.
+	// templates), stamped onto every spec at parse time. Like Workers
+	// and Seed it is fingerprint-exempt: stamped formulations are
+	// byte-identical to scratch ones, so the cache changes how fast the
+	// answer arrives, never what it is. Nil when artifact caching is
+	// disabled.
 	Artifacts *mapper.ArtifactCache
 	// Fingerprint is the canonical content-address of this job (see
 	// Fingerprint); equal fingerprints have equal answers.
@@ -274,10 +263,6 @@ type Options struct {
 	// Seed fixes the base solver trajectory of every job (0 keeps the
 	// engines' defaults).
 	Seed int64
-	// Incremental turns on incremental CDCL sessions for every job
-	// (clients can also request it per job; either side opting in
-	// enables it). See JobSpec.Incremental.
-	Incremental bool
 	// Symmetry is the server-wide symmetry-breaking default for jobs
 	// that submit "auto" (or nothing). A job's explicit "on"/"off" wins.
 	// See JobSpec.Symmetry.
@@ -577,7 +562,6 @@ func (s *Server) ParseRequest(req *JobRequest) (*JobSpec, error) {
 		Deadline:    deadline,
 		Workers:     s.opts.SolveWorkers,
 		Seed:        s.opts.Seed,
-		Incremental: req.Incremental || s.opts.Incremental,
 		Symmetry:    symmetry,
 		Artifacts:   s.artifacts,
 		Fingerprint: Fingerprint(g, a, engine, objective, req.AutoII),
@@ -1051,7 +1035,7 @@ func RunSpec(ctx context.Context, spec *JobSpec) (*JobResult, error) {
 	}
 
 	mo := mapper.Options{Objective: spec.Objective, Workers: spec.Workers, Seed: spec.Seed,
-		Incremental: spec.Incremental, Symmetry: spec.Symmetry, Artifacts: spec.Artifacts}
+		Symmetry: spec.Symmetry, Artifacts: spec.Artifacts}
 	switch spec.Engine {
 	case EngineCDCL:
 	case EngineBB:
@@ -1067,8 +1051,7 @@ func RunSpec(ctx context.Context, spec *JobSpec) (*JobResult, error) {
 			// miss at some II proves nothing, which would poison the
 			// "smallest feasible II" claim.
 			mo.MapWith = portfolio.MapFunc(portfolio.Options{
-				DisableFallback: true, Workers: spec.Workers, Seed: spec.Seed,
-				Incremental: spec.Incremental})
+				DisableFallback: true, Workers: spec.Workers, Seed: spec.Seed})
 		}
 		auto, err := mapper.MapAuto(ctx, spec.DFG, spec.Arch, spec.AutoII, mo)
 		if err != nil {
@@ -1086,8 +1069,7 @@ func RunSpec(ctx context.Context, spec *JobSpec) (*JobResult, error) {
 	}
 	if spec.Engine == EnginePortfolio {
 		pres, err := portfolio.Map(ctx, spec.DFG, mg, portfolio.Options{
-			Mapper: mo, Workers: spec.Workers, Seed: spec.Seed,
-			Incremental: spec.Incremental})
+			Mapper: mo, Workers: spec.Workers, Seed: spec.Seed})
 		if err != nil {
 			return nil, err
 		}

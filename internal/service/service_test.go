@@ -1,11 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -557,43 +560,102 @@ func TestFingerprintSemantics(t *testing.T) {
 	if fp(func(r *JobRequest) { r.Contexts = 3 }) == ref {
 		t.Error("context count not part of the job fingerprint")
 	}
-	if fp(func(r *JobRequest) { r.Incremental = true }) != ref {
-		t.Error("incremental flag leaked into the job fingerprint (it never changes the answer)")
-	}
 }
 
-// TestIncrementalThreading: the request's incremental flag (or the
-// server-wide default) must reach the solve dispatch through the spec.
-func TestIncrementalThreading(t *testing.T) {
-	for _, tc := range []struct {
-		server, request, want bool
-	}{
-		{false, false, false},
-		{false, true, true},
-		{true, false, true},
-	} {
-		var got bool
-		s := New(Options{Workers: 1, Incremental: tc.server,
-			Solve: func(ctx context.Context, spec *JobSpec) (*JobResult, error) {
-				got = spec.Incremental
-				return fakeResult("inc"), nil
-			}})
-		req := gridReq(1)
-		req.Incremental = tc.request
-		st, err := s.Submit(req)
+// TestLegacyIncrementalFieldIgnored: older clients still send the
+// removed "incremental" speed knob. Their requests must decode (unknown
+// JSON fields are ignored) and get the same fingerprint and the same
+// answer as the request without the field.
+func TestLegacyIncrementalFieldIgnored(t *testing.T) {
+	req := &JobRequest{
+		Benchmark: "2x2-f",
+		Grid: &arch.GridSpec{Rows: 2, Cols: 2, Interconnect: arch.Diagonal, Homogeneous: true,
+			Contexts: 1},
+		AutoII: 3,
+	}
+	plain, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := append([]byte(`{"incremental":true,`), plain[1:]...)
+
+	// Each body goes to its own server, so neither answer is a cache hit.
+	solve := func(body []byte) (*JobStatus, *JobResult) {
+		s := New(Options{Workers: 1, SolveWorkers: 1, Seed: 1})
+		defer s.Shutdown(context.Background())
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		if _, err := s.Wait(ctx, st.ID); err != nil {
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			blob, _ := io.ReadAll(resp.Body)
+			t.Fatalf("submit: %d %s", resp.StatusCode, blob)
+		}
+		var st JobStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			t.Fatal(err)
 		}
-		cancel()
-		if got != tc.want {
-			t.Errorf("server=%v request=%v: spec.Incremental = %v, want %v",
-				tc.server, tc.request, got, tc.want)
+		c := NewClient(ts.URL)
+		c.PollInterval = 5 * time.Millisecond
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		if _, err := c.Wait(ctx, st.ID); err != nil {
+			t.Fatal(err)
 		}
-		s.Shutdown(context.Background())
+		res, err := c.Result(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.BuildMS, res.SolveMS = 0, 0
+		return &st, res
+	}
+	pst, pres := solve(plain)
+	lst, lres := solve(legacy)
+	if lst.Fingerprint != pst.Fingerprint {
+		t.Errorf("fingerprint %s with the legacy field, %s without", lst.Fingerprint, pst.Fingerprint)
+	}
+	if !pres.Feasible || pres.II != 2 {
+		t.Fatalf("plain request: feasible=%v II=%d, want a feasible mapping at II=2", pres.Feasible, pres.II)
+	}
+	if !reflect.DeepEqual(lres, pres) {
+		t.Errorf("answers differ:\nlegacy %+v\nplain  %+v", lres, pres)
+	}
+}
+
+// TestOversizedRequestBody: a job body over maxRequestBytes gets 413
+// without being buffered, and the daemon keeps serving normal jobs.
+func TestOversizedRequestBody(t *testing.T) {
+	s := New(Options{Workers: 1, Solve: func(ctx context.Context, spec *JobSpec) (*JobResult, error) {
+		return fakeResult("small"), nil
+	}})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	big := append([]byte(`{"dfg":"`), bytes.Repeat([]byte("x"), maxRequestBytes)...)
+	big = append(big, `"}`...)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+
+	c := NewClient(ts.URL)
+	c.PollInterval = 5 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := c.Solve(ctx, gridReq(1))
+	if err != nil {
+		t.Fatalf("normal job after the oversized one: %v", err)
+	}
+	if res.Reason != "small" {
+		t.Errorf("normal job answered %+v", res)
 	}
 }
 

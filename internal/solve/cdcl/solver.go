@@ -14,16 +14,11 @@ type clause struct {
 }
 
 // card is an at-most-k constraint over literals: sum(lits true) <= k.
-// count tracks how many literals are currently true. A guarded card
-// (guard != litUndef) is active only while its guard literal is true:
-// the incremental session guards each instance group's cardinality
-// constraints behind an assumption literal so that retiring the group
-// (fixing the guard false at level 0) deactivates them soundly.
+// count tracks how many literals are currently true.
 type card struct {
 	lits  []lit
 	k     int
 	count int
-	guard lit
 }
 
 type watcher struct {
@@ -45,25 +40,6 @@ type solver struct {
 	watches [][]watcher
 	// cardOcc[l] lists cards containing literal l.
 	cardOcc [][]int32
-	// guardOcc[g] lists cards guarded by literal g, inspected when g
-	// becomes true (the card's counter may already be at or past its
-	// bound by then).
-	guardOcc [][]int32
-
-	// assumps are solve-under-assumption literals, enqueued as the first
-	// pseudo-decisions of every descent (one level each, MiniSat-style).
-	// When the database forces an assumption false, search returns lFalse
-	// with assumpFailed set — UNSAT under assumptions, solver intact —
-	// as opposed to a level-0 conflict, which proves the database itself
-	// unsatisfiable (ok = false).
-	assumps      []lit
-	assumpFailed bool
-	// isSel marks selector variables (incremental constraint guards):
-	// assigned true for the whole solve, so their negations are dead
-	// literals in every clause body. Learnt clauses sink them behind the
-	// model literals to keep watch-replacement scans short. Empty outside
-	// sessions.
-	isSel []bool
 
 	assigns  []lbool
 	level    []int32
@@ -117,7 +93,6 @@ func newSolver(nVars int) *solver {
 		ok:           true,
 		watches:      make([][]watcher, 2*nVars),
 		cardOcc:      make([][]int32, 2*nVars),
-		guardOcc:     make([][]int32, 2*nVars),
 		assigns:      make([]lbool, nVars),
 		level:        make([]int32, nVars),
 		reasonCl:     make([]*clause, nVars),
@@ -136,39 +111,6 @@ func newSolver(nVars int) *solver {
 	}
 	s.heap.init(s)
 	return s
-}
-
-// ensureVars grows the solver to at least n variables. New variables
-// start unassigned with zero activity and phase false, and enter the
-// branching heap. The incremental session uses this to extend one live
-// solver with each successive model's fresh variables while keeping the
-// shared ones (and everything learnt about them) in place.
-func (s *solver) ensureVars(n int) {
-	if n <= s.nVars {
-		return
-	}
-	old := s.nVars
-	s.nVars = n
-	for len(s.watches) < 2*n {
-		s.watches = append(s.watches, nil)
-	}
-	for len(s.cardOcc) < 2*n {
-		s.cardOcc = append(s.cardOcc, nil)
-	}
-	for len(s.guardOcc) < 2*n {
-		s.guardOcc = append(s.guardOcc, nil)
-	}
-	for v := old; v < n; v++ {
-		s.assigns = append(s.assigns, lUndef)
-		s.level = append(s.level, 0)
-		s.reasonCl = append(s.reasonCl, nil)
-		s.reasonCd = append(s.reasonCd, -1)
-		s.activity = append(s.activity, 0)
-		s.phase = append(s.phase, false)
-		s.seen = append(s.seen, false)
-		s.heap.pos = append(s.heap.pos, -1)
-		s.heap.push(v)
-	}
 }
 
 func (s *solver) decisionLevel() int { return len(s.trailLim) }
@@ -254,24 +196,8 @@ func (s *solver) addClause(in []lit) bool {
 // against the current top-level assignment. Returns false on a top-level
 // conflict. Literals must be over distinct variables.
 func (s *solver) addAtMost(in []lit, k int) bool {
-	return s.addAtMostGuarded(in, k, litUndef)
-}
-
-// addAtMostGuarded installs guard -> sum(lits) <= k. With guard ==
-// litUndef the constraint is unconditional (addAtMost). A guarded
-// constraint only bites while the guard literal is true; since guards
-// appear only negatively in the clause database and only positively as
-// assumptions, every learnt clause that depends on a guarded group
-// automatically contains the guard's negation, which is what makes
-// carrying learnt clauses across groups sound (see DESIGN.md,
-// "Incremental solving"). Simplification against level-0 facts is
-// sound for guarded constraints too: facts hold in every extension.
-func (s *solver) addAtMostGuarded(in []lit, k int, guard lit) bool {
 	if !s.ok {
 		return false
-	}
-	if guard != litUndef {
-		s.markSelector(guard.vi())
 	}
 	lits := make([]lit, 0, len(in))
 	for _, l := range in {
@@ -285,11 +211,6 @@ func (s *solver) addAtMostGuarded(in []lit, k int, guard lit) bool {
 		}
 	}
 	if k < 0 {
-		if guard != litUndef {
-			// Level-0 facts alone violate the bound: the group is
-			// infeasible, which is exactly ¬guard.
-			return s.addFact(guard.neg())
-		}
 		s.ok = false
 		return false
 	}
@@ -298,85 +219,27 @@ func (s *solver) addAtMostGuarded(in []lit, k int, guard lit) bool {
 	}
 	if k == 0 {
 		for _, l := range lits {
-			if guard != litUndef {
-				if !s.addClause([]lit{guard.neg(), l.neg()}) {
-					return false
-				}
-			} else if !s.addFact(l.neg()) {
+			if !s.addFact(l.neg()) {
 				return false
 			}
 		}
 		return true
 	}
 	if k == len(lits)-1 {
-		// "not all true": a plain clause of negations. The guard literal
-		// goes last: it is false whenever the group is live, so watch-
-		// replacement scans should reach the model literals first.
-		neg := make([]lit, 0, len(lits)+1)
+		// "not all true": a plain clause of negations.
+		neg := make([]lit, 0, len(lits))
 		for _, l := range lits {
 			neg = append(neg, l.neg())
 		}
-		if guard != litUndef {
-			neg = append(neg, guard.neg())
-		}
 		return s.addClause(neg)
 	}
-	c := &card{lits: lits, k: k, guard: guard}
+	c := &card{lits: lits, k: k}
 	ci := int32(len(s.cards))
 	s.cards = append(s.cards, c)
 	for _, l := range lits {
 		s.cardOcc[l] = append(s.cardOcc[l], ci)
 	}
-	if guard != litUndef {
-		s.guardOcc[guard] = append(s.guardOcc[guard], ci)
-	}
 	return true
-}
-
-// markSelector records v as a constraint-guard variable (see isSel).
-func (s *solver) markSelector(v int) {
-	for len(s.isSel) <= v {
-		s.isSel = append(s.isSel, false)
-	}
-	s.isSel[v] = true
-}
-
-// sinkSelectors moves selector tags behind the model literals in
-// lits[2:]. Tags are false for the whole solve, so a watch-replacement
-// scan that reaches them walks dead weight; after sinking, viable
-// candidates come first. The two watched positions are left alone. A
-// no-op (and free) outside incremental sessions.
-func (s *solver) sinkSelectors(lits []lit) {
-	if len(s.isSel) == 0 || len(lits) < 4 {
-		return
-	}
-	i, j := 2, len(lits)-1
-	for i < j {
-		for i < j && (lits[i].vi() >= len(s.isSel) || !s.isSel[lits[i].vi()]) {
-			i++
-		}
-		for i < j && lits[j].vi() < len(s.isSel) && s.isSel[lits[j].vi()] {
-			j--
-		}
-		if i < j {
-			lits[i], lits[j] = lits[j], lits[i]
-		}
-	}
-}
-
-// clampBackjump bounds a conflict backjump at the assumption prefix.
-// Jumping into the prefix would re-decide thousands of selector
-// assumptions one pseudo-level at a time, and the learnt clause is
-// equally asserting at the prefix top: its non-UIP literals all live at
-// levels <= bt < len(assumps), so they stay false there. Unit learnts
-// must still reach level 0 to become facts, and conflicts inside the
-// prefix itself (assumption raising) keep the vanilla backjump so
-// assumption refutation terminates. A no-op without assumptions.
-func (s *solver) clampBackjump(bt, learntLen int) int {
-	if lvl := len(s.assumps); learntLen > 1 && bt < lvl && s.decisionLevel() > lvl {
-		return lvl
-	}
-	return bt
 }
 
 func (s *solver) attach(c *clause) {
@@ -452,30 +315,8 @@ func (s *solver) propagate() conflictRef {
 		s.watches[fl] = out
 
 		// Cardinality checks: literal p just became true (its counts
-		// were already bumped at enqueue time). Guarded cards only bite
-		// while their guard holds.
+		// were already bumped at enqueue time).
 		for _, ci := range s.cardOcc[p] {
-			c := s.cards[ci]
-			if c.guard != litUndef && s.value(c.guard) != lTrue {
-				continue
-			}
-			if c.count > c.k {
-				s.qhead = len(s.trail)
-				return conflictRef{cl: nil, cd: ci}
-			}
-			if c.count == c.k {
-				for _, l := range c.lits {
-					if s.value(l) == lUndef {
-						s.enqueue(l.neg(), nil, ci)
-					}
-				}
-			}
-		}
-
-		// Guard activation: p may be the guard of cards whose counters
-		// already sit at or past the bound (counts are maintained
-		// regardless of guard state).
-		for _, ci := range s.guardOcc[p] {
 			c := s.cards[ci]
 			if c.count > c.k {
 				s.qhead = len(s.trail)
@@ -529,14 +370,7 @@ func (s *solver) reasonLits(p lit, rc *clause, rd int32, buf []lit) []lit {
 	if p != litUndef {
 		buf = append(buf, p)
 	}
-	c := s.cards[rd]
-	if c.guard != litUndef {
-		// A guarded card implies nothing unless its guard holds: the
-		// implication clause carries ¬guard, so conflict analysis tags
-		// every derived clause with the groups it depends on.
-		buf = append(buf, c.guard.neg())
-	}
-	for _, l := range c.lits {
+	for _, l := range s.cards[rd].lits {
 		if s.value(l) == lTrue {
 			buf = append(buf, l.neg())
 		}
@@ -689,114 +523,6 @@ func (s *solver) reduceDB() {
 	s.learnts = kept
 }
 
-// simplifyAtRoot garbage-collects the database against the level-0
-// assignment: clauses satisfied at level 0 are dropped (this is how a
-// retired group's constraints and every learnt clause tagged with its
-// guard disappear — the guard's negation is true), surviving clauses
-// re-select non-false watches, clauses reduced to a unit become facts,
-// and cards whose guard is false at level 0 are removed with occurrence
-// lists and counters rebuilt. Must be called at decision level 0; it
-// finishes with a propagation fixpoint. Returns false when a top-level
-// conflict is derived (ok is cleared).
-func (s *solver) simplifyAtRoot() bool {
-	if !s.ok {
-		return false
-	}
-	// Reasons of level-0 literals are never materialised by analyze;
-	// clearing them frees dropped clauses and permits card re-indexing.
-	for _, p := range s.trail {
-		v := p.vi()
-		s.reasonCl[v] = nil
-		s.reasonCd[v] = -1
-	}
-
-	// Rebuild the card store without dead (retired-guard) cards.
-	keptCards := s.cards[:0]
-	for _, c := range s.cards {
-		if c.guard != litUndef && s.value(c.guard) == lFalse {
-			continue
-		}
-		c.count = 0
-		for _, l := range c.lits {
-			if s.value(l) == lTrue {
-				c.count++
-			}
-		}
-		keptCards = append(keptCards, c)
-	}
-	s.cards = keptCards
-	for i := range s.cardOcc {
-		s.cardOcc[i] = s.cardOcc[i][:0]
-	}
-	for i := range s.guardOcc {
-		s.guardOcc[i] = s.guardOcc[i][:0]
-	}
-	for i, c := range s.cards {
-		for _, l := range c.lits {
-			s.cardOcc[l] = append(s.cardOcc[l], int32(i))
-		}
-		if c.guard != litUndef {
-			s.guardOcc[c.guard] = append(s.guardOcc[c.guard], int32(i))
-		}
-	}
-
-	// Rebuild the watch lists: survivors watch two non-false literals.
-	for i := range s.watches {
-		s.watches[i] = s.watches[i][:0]
-	}
-	process := func(list []*clause) ([]*clause, bool) {
-		kept := list[:0]
-		for _, c := range list {
-			sat := false
-			nf := 0 // non-false literals, moved to the front
-			for i, l := range c.lits {
-				switch s.value(l) {
-				case lTrue:
-					sat = true
-				case lFalse:
-					// stays; propagation skips false literals
-				default:
-					if nf < 2 {
-						c.lits[nf], c.lits[i] = c.lits[i], c.lits[nf]
-						nf++
-					}
-				}
-				if sat {
-					break
-				}
-			}
-			if sat {
-				continue
-			}
-			switch nf {
-			case 0:
-				s.ok = false
-				return kept, false
-			case 1:
-				if !s.addFact(c.lits[0]) {
-					return kept, false
-				}
-			default:
-				s.attach(c)
-				kept = append(kept, c)
-			}
-		}
-		return kept, true
-	}
-	var ok bool
-	if s.clauses, ok = process(s.clauses); !ok {
-		return false
-	}
-	if s.learnts, ok = process(s.learnts); !ok {
-		return false
-	}
-	if confl := s.propagate(); !confl.none() {
-		s.ok = false
-		return false
-	}
-	return true
-}
-
 func (s *solver) detach(c *clause) {
 	for _, l := range c.lits[:2] {
 		ws := s.watches[l]
@@ -832,7 +558,6 @@ const propCheckInterval = 100_000
 // cancellation (lUndef). Cancellation is observed on three clocks:
 // every 1024 conflicts, every ~100k propagations, and at every restart.
 func (s *solver) search(ctx context.Context) lbool {
-	s.assumpFailed = false
 	if !s.ok {
 		return lFalse
 	}
@@ -869,13 +594,12 @@ func (s *solver) search(ctx context.Context) lbool {
 			if s.onLearn != nil {
 				s.onLearn(learnt)
 			}
-			s.cancelUntil(s.clampBackjump(bt, len(learnt)))
+			s.cancelUntil(bt)
 			if len(learnt) == 1 {
 				if !s.addFact(learnt[0]) {
 					return lFalse
 				}
 			} else {
-				s.sinkSelectors(learnt)
 				c := &clause{lits: learnt, learnt: true}
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
@@ -894,11 +618,7 @@ func (s *solver) search(ctx context.Context) lbool {
 			conflictsSinceRestart = 0
 			restartBudget = luby(restartIdx+1) * s.restartScale
 			s.restarts++
-			// Restarts keep the assumption prefix: re-propagating
-			// thousands of selector assumptions from scratch at every
-			// restart would dominate incremental solves. Without
-			// assumptions this is the usual full restart to level 0.
-			s.cancelUntil(len(s.assumps))
+			s.cancelUntil(0)
 			if len(s.learnts) > s.maxLearnts {
 				s.reduceDB()
 			}
@@ -912,27 +632,6 @@ func (s *solver) search(ctx context.Context) lbool {
 			continue
 		}
 
-		// Decide. Pending assumptions go first, one pseudo-decision
-		// level each; only below them does the activity heap branch.
-		if dl := s.decisionLevel(); dl < len(s.assumps) {
-			p := s.assumps[dl]
-			switch s.value(p) {
-			case lFalse:
-				// Forced false below its own level: UNSAT under
-				// assumptions. The database itself stays consistent.
-				s.assumpFailed = true
-				return lFalse
-			case lTrue:
-				// Already implied; keep the level structure with an
-				// empty pseudo-level so assumps[i] lives at level <= i+1.
-				s.trailLim = append(s.trailLim, len(s.trail))
-			default:
-				s.decisions++
-				s.trailLim = append(s.trailLim, len(s.trail))
-				s.enqueue(p, nil, -1)
-			}
-			continue
-		}
 		v := s.pickBranchVar()
 		if v < 0 {
 			return lTrue // all variables assigned, no conflict

@@ -11,7 +11,6 @@ import (
 	"cgramap/internal/ilp"
 	"cgramap/internal/mapper"
 	"cgramap/internal/mrrg"
-	"cgramap/internal/solve/cdcl"
 )
 
 // FrontierSpec declares a mappability-frontier sweep: for every
@@ -58,11 +57,7 @@ type FrontierOptions struct {
 	Timeout time.Duration
 	// Mapper carries per-probe mapper options. Set Mapper.MapWith
 	// (portfolio.MapFunc, or a service client's MapFunc for a remote
-	// daemon) to route probes through an orchestrator. With
-	// Mapper.Incremental set (and no Solver or MapWith), each boundary's
-	// sequential probes share one incremental CDCL session: ladder rungs
-	// of one kernel family overlap heavily, so later probes of a
-	// bisection start from the earlier probes' learnt clauses.
+	// daemon) to route probes through an orchestrator.
 	Mapper mapper.Options
 	// Progress, when non-nil, receives one line per probe.
 	Progress io.Writer
@@ -176,13 +171,6 @@ func buildDevice(gs arch.GridSpec, cache *mapper.ArtifactCache) (*mrrg.Graph, er
 func bisect(ctx context.Context, device *mrrg.Graph, fabricName string, ii int,
 	spec FrontierSpec, opts FrontierOptions, kernel func(int) (*dfg.Graph, error)) (*Boundary, error) {
 	b := &Boundary{Fabric: fabricName, II: ii}
-	if opts.Mapper.Incremental && opts.Mapper.Solver == nil && opts.Mapper.MapWith == nil {
-		// One session per boundary: its probes run sequentially on one
-		// device, so they can safely share a solver. A probe that
-		// panics poisons only the session's current state — the busy
-		// guard rebuilds it on the next probe.
-		opts.Mapper.Solver = cdcl.NewSession(opts.Mapper.Seed)
-	}
 	probe := func(n int) (bool, error) {
 		g, err := kernel(n)
 		if err != nil {
