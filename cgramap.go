@@ -344,7 +344,8 @@ func MappingFromPortable(g *DFG, m *MRRG, p *PortableMapping) (*Mapping, error) 
 // stable under DFG/architecture renaming and iteration order, sensitive
 // to any semantic change. It keys the service's result cache.
 func JobFingerprint(g *DFG, a *Arch, engine string, objective mapper.ObjectiveMode, autoII int) string {
-	return service.Fingerprint(g, a, engine, objective, autoII)
+	return service.Fingerprint(&service.JobSpec{DFG: g, Arch: a, Engine: engine, AutoII: autoII,
+		Mapper: mapper.Options{Objective: objective}})
 }
 
 // Artifact caching: bounded content-addressed stores for built MRRGs

@@ -1,6 +1,7 @@
 // Command cgramap maps one application DFG onto one CGRA architecture
-// using the paper's ILP formulation (or the simulated-annealing baseline)
-// and prints the resulting placement and routing.
+// using the paper's ILP formulation (or, with -engine anneal, the
+// simulated-annealing baseline) and prints the resulting placement and
+// routing.
 //
 // The application comes from -dfg (textual DFG file) or -benchmark (one
 // of the paper's Table 1 kernels); the architecture from -arch (XML
@@ -19,10 +20,8 @@ import (
 	"os"
 	"time"
 
-	"cgramap/internal/anneal"
 	"cgramap/internal/arch"
 	"cgramap/internal/bench"
-	"cgramap/internal/budget"
 	"cgramap/internal/config"
 	"cgramap/internal/dfg"
 	"cgramap/internal/ilp"
@@ -30,7 +29,6 @@ import (
 	"cgramap/internal/mrrg"
 	"cgramap/internal/portfolio"
 	"cgramap/internal/sim"
-	"cgramap/internal/solve/bb"
 	"cgramap/internal/visual"
 )
 
@@ -40,12 +38,9 @@ type runOpts struct {
 	rows, cols, contexts         int
 	diagonal, hetero             bool
 	objective, engine            string
-	fallback, useSA              bool
-	workers                      int
+	fallback                     bool
+	solve                        mapper.SolveFlags
 	autoII                       int
-	symmetry                     string
-	artifactCache                int
-	seed                         int64
 	timeout                      time.Duration
 	lpOut                        string
 	quiet, showCfg, validate     bool
@@ -63,14 +58,13 @@ func main() {
 	flag.BoolVar(&o.diagonal, "diagonal", false, "diagonal interconnect")
 	flag.BoolVar(&o.hetero, "heterogeneous", false, "multipliers in only half the blocks")
 	flag.StringVar(&o.objective, "objective", "feasibility", "feasibility | routing (minimise routing resources)")
-	flag.StringVar(&o.engine, "engine", "cdcl", "ILP engine: cdcl | bb | portfolio (race all engines under the timeout)")
+	flag.StringVar(&o.engine, "engine", "cdcl", "engine: cdcl | bb | portfolio (race all engines under the timeout) | anneal (simulated-annealing heuristic, fixed II only)")
 	flag.BoolVar(&o.fallback, "fallback", true, "portfolio only: degrade to the annealing heuristic when no exact engine decides")
-	flag.BoolVar(&o.useSA, "anneal", false, "use the simulated-annealing mapper instead of ILP")
-	flag.IntVar(&o.workers, "workers", 0, "parallel solver workers: the clause-sharing gang width and the process worker budget (0 = all CPUs or $CGRAMAP_WORKERS; 1 = sequential, bit-reproducible with -seed)")
+	flag.IntVar(&o.solve.Mapper.Workers, "workers", 0, "parallel solver workers: the clause-sharing gang width and the process worker budget (0 = all CPUs or $CGRAMAP_WORKERS; 1 = sequential, bit-reproducible with -seed)")
 	flag.IntVar(&o.autoII, "auto-ii", 0, "search for the provably smallest initiation interval up to this bound (overrides -contexts; exact engines only)")
-	flag.StringVar(&o.symmetry, "symmetry", "auto", "symmetry-breaking constraints from verified fabric automorphisms: auto (on for -auto-ii, off otherwise) | on | off; same answer either way")
-	flag.IntVar(&o.artifactCache, "artifact-cache", 16, "artifact cache entries per class (cached MRRGs and formulation templates reused across the run; <= 0 disables)")
-	flag.Int64Var(&o.seed, "seed", 0, "base solver seed (0 = the engine default)")
+	flag.Var(&o.solve.Mapper.Symmetry, "symmetry", "symmetry-breaking constraints from verified fabric automorphisms: auto (on for -auto-ii, off otherwise) | on | off; same answer either way")
+	flag.IntVar(&o.solve.ArtifactCache, "artifact-cache", 16, "artifact cache entries per class (cached MRRGs and formulation templates reused across the run; <= 0 disables)")
+	flag.Int64Var(&o.solve.Mapper.Seed, "seed", 0, "base solver seed (0 = the engine default)")
 	flag.DurationVar(&o.timeout, "timeout", 5*time.Minute, "solve timeout")
 	flag.StringVar(&o.lpOut, "lp", "", "write the ILP model in LP format to this file and exit")
 	flag.BoolVar(&o.quiet, "q", false, "print only the status line")
@@ -114,38 +108,15 @@ func run(o runOpts) (int, error) {
 	fmt.Printf("mapping %s (%d ops, %d values) onto %s (%d MRRG nodes, %d contexts)\n",
 		g.Name, g.NumOps(), g.NumVals(), a.Name, len(mg.Nodes), mg.Contexts)
 
-	if o.workers < 0 {
-		return exitError, fmt.Errorf("-workers must be non-negative")
-	}
-	if o.workers > 0 {
-		budget.SetGlobal(o.workers)
-	}
-	workers := o.workers
-	if workers == 0 {
-		workers = budget.Global().Size()
-	}
-
-	sym, err := mapper.ParseSymmetryMode(o.symmetry)
+	opts, err := o.solve.Options()
 	if err != nil {
 		return exitError, err
 	}
-	opts := mapper.Options{Workers: workers, Seed: o.seed, Symmetry: sym}
-	if o.artifactCache > 0 {
-		opts.Artifacts = mapper.NewArtifactCache(o.artifactCache)
+	if opts.Objective, err = mapper.ParseObjective(o.objective); err != nil {
+		return exitError, err
 	}
-	switch o.objective {
-	case "feasibility":
-	case "routing":
-		opts.Objective = mapper.MinimizeRouting
-	default:
-		return exitError, fmt.Errorf("unknown objective %q", o.objective)
-	}
-	switch o.engine {
-	case "cdcl", "portfolio":
-	case "bb":
-		opts.Solver = bb.New()
-	default:
-		return exitError, fmt.Errorf("unknown engine %q", o.engine)
+	if opts, err = portfolio.Resolve(o.engine, o.autoII == 0, opts); err != nil {
+		return exitError, err
 	}
 
 	if o.lpOut != "" {
@@ -169,31 +140,8 @@ func run(o runOpts) (int, error) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), o.timeout)
 	defer cancel()
-	if o.useSA {
-		res, err := anneal.Map(ctx, g, mg, anneal.Options{})
-		if err != nil {
-			return exitError, err
-		}
-		if !res.Feasible {
-			// A heuristic miss is undecided, never an infeasibility proof.
-			fmt.Printf("status: no mapping found by annealing (%d moves, cost %.0f)\n", res.Moves, res.Cost)
-			return exitUnknown, nil
-		}
-		fmt.Printf("status: feasible (annealing, %d moves, routing cost %d)\n",
-			res.Moves, res.Mapping.RoutingCost())
-		if !o.quiet {
-			if err := res.Mapping.Write(os.Stdout); err != nil {
-				return exitError, err
-			}
-		}
-		return exitOK, nil
-	}
-
 	if o.autoII > 0 {
-		if o.useSA {
-			return exitError, fmt.Errorf("-auto-ii requires an exact engine (a heuristic cannot prove an II minimal)")
-		}
-		return runAutoII(ctx, g, a, o, workers, opts)
+		return runAutoII(ctx, g, a, o, opts)
 	}
 
 	start := time.Now()
@@ -202,8 +150,6 @@ func run(o runOpts) (int, error) {
 		pres, err := portfolio.Map(ctx, g, mg, portfolio.Options{
 			Timeout:         o.timeout,
 			DisableFallback: !o.fallback,
-			Workers:         workers,
-			Seed:            o.seed,
 			Mapper:          opts,
 		})
 		if err != nil {
@@ -228,23 +174,17 @@ func run(o runOpts) (int, error) {
 		res = pres.Result
 	} else {
 		var err error
-		res, err = mapper.Map(ctx, g, mg, opts)
+		res, err = mapper.Dispatch(ctx, g, mg, opts)
 		if err != nil {
 			return exitError, err
 		}
 	}
-	return reportResult(res, g, o, o.timeout, time.Since(start))
+	return reportResult(res, g, o, time.Since(start))
 }
 
 // runAutoII sweeps the II ladder for the provably smallest initiation
 // interval, sequentially or speculatively.
-func runAutoII(ctx context.Context, g *dfg.Graph, a *arch.Arch, o runOpts, workers int, opts mapper.Options) (int, error) {
-	if o.engine == "portfolio" {
-		// Exact engines only inside the ladder: a heuristic miss at some
-		// II proves nothing about that II.
-		opts.MapWith = portfolio.MapFunc(portfolio.Options{
-			DisableFallback: true, Workers: workers, Seed: o.seed})
-	}
+func runAutoII(ctx context.Context, g *dfg.Graph, a *arch.Arch, o runOpts, opts mapper.Options) (int, error) {
 	start := time.Now()
 	auto, err := mapper.MapAuto(ctx, g, a, o.autoII, opts)
 	if err != nil {
@@ -256,12 +196,12 @@ func runAutoII(ctx context.Context, g *dfg.Graph, a *arch.Arch, o runOpts, worke
 	if auto.Feasible() {
 		fmt.Printf("auto-ii: smallest II = %d (proven, %v)\n", auto.II, time.Since(start).Round(time.Millisecond))
 	}
-	return reportResult(auto.Result, g, o, o.timeout, time.Since(start))
+	return reportResult(auto.Result, g, o, time.Since(start))
 }
 
 // reportResult prints a mapping attempt's outcome and translates it to
 // the script-friendly exit code.
-func reportResult(res *mapper.Result, g *dfg.Graph, o runOpts, timeout, elapsed time.Duration) (int, error) {
+func reportResult(res *mapper.Result, g *dfg.Graph, o runOpts, elapsed time.Duration) (int, error) {
 	switch res.Status {
 	case ilp.Infeasible:
 		fmt.Printf("status: infeasible (proven in %v)", elapsed.Round(time.Millisecond))
@@ -271,7 +211,8 @@ func reportResult(res *mapper.Result, g *dfg.Graph, o runOpts, timeout, elapsed 
 		fmt.Println()
 		return exitInfeasible, nil
 	case ilp.Unknown:
-		fmt.Printf("status: timeout after %v (T)\n", timeout)
+		// A timeout, or a heuristic miss: undecided either way.
+		fmt.Printf("status: undecided after %v (T)\n", elapsed.Round(time.Millisecond))
 		if res.Reason != "" {
 			fmt.Printf("  %s\n", res.Reason)
 		}
@@ -280,6 +221,9 @@ func reportResult(res *mapper.Result, g *dfg.Graph, o runOpts, timeout, elapsed 
 		fmt.Printf("status: %s in %v (%d vars, %d constraints, routing cost %d)\n",
 			res.Status, elapsed.Round(time.Millisecond),
 			res.Vars, res.Constraints, res.Mapping.RoutingCost())
+		if res.Reason != "" {
+			fmt.Printf("  %s\n", res.Reason)
+		}
 		if !o.quiet {
 			if err := res.Mapping.Write(os.Stdout); err != nil {
 				return exitError, err

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cgramap/internal/ilp"
+	"cgramap/internal/mapper"
 )
 
 func TestLoadDFG(t *testing.T) {
@@ -90,7 +91,7 @@ func TestRunSolveSmall(t *testing.T) {
 		objective: "feasibility", engine: "zorp", fallback: true, timeout: time.Minute, quiet: true}); err == nil || code != exitError {
 		t.Error("bad engine accepted")
 	}
-	if code, err := run(runOpts{benchName: "2x2-f", rows: 4, cols: 4, contexts: 1, workers: -1,
+	if code, err := run(runOpts{benchName: "2x2-f", rows: 4, cols: 4, contexts: 1, solve: mapper.SolveFlags{Mapper: mapper.Options{Workers: -1}},
 		objective: "feasibility", engine: "cdcl", fallback: true, timeout: time.Minute, quiet: true}); err == nil || code != exitError {
 		t.Error("negative -workers accepted")
 	}
@@ -98,10 +99,29 @@ func TestRunSolveSmall(t *testing.T) {
 
 func TestRunSolvePortfolio(t *testing.T) {
 	code, err := run(runOpts{benchName: "2x2-f", rows: 2, cols: 2, contexts: 2, diagonal: true,
-		objective: "feasibility", engine: "portfolio", fallback: true, workers: 2, seed: 7,
+		objective: "feasibility", engine: "portfolio", fallback: true, solve: mapper.SolveFlags{Mapper: mapper.Options{Workers: 2, Seed: 7}},
 		timeout: time.Minute, quiet: true})
 	if err != nil || code != exitOK {
 		t.Fatal(code, err)
+	}
+}
+
+// TestRunAnnealEngine: -engine anneal maps at a fixed II, and is
+// refused on an auto-II ladder, where a heuristic miss at some II would
+// prove nothing about it.
+func TestRunAnnealEngine(t *testing.T) {
+	code, err := run(runOpts{benchName: "2x2-f", rows: 2, cols: 2, contexts: 2, diagonal: true,
+		objective: "feasibility", engine: "anneal", fallback: true, solve: mapper.SolveFlags{Mapper: mapper.Options{Seed: 3}},
+		timeout: time.Minute, quiet: true})
+	if err != nil || code != exitOK {
+		t.Fatalf("fixed-II anneal: exit %d, %v; want a mapping", code, err)
+	}
+	code, err = run(runOpts{benchName: "2x2-f", rows: 2, cols: 2, contexts: 1, diagonal: true,
+		objective: "feasibility", engine: "anneal", fallback: true, autoII: 4,
+		timeout: time.Minute, quiet: true})
+	if code != exitError || err == nil || !strings.Contains(err.Error(), "requires an exact engine") {
+		t.Fatalf("anneal on an auto-II ladder: exit %d, %v; want exit %d and a \"requires an exact engine\" error",
+			code, err, exitError)
 	}
 }
 

@@ -28,22 +28,22 @@ import (
 	"syscall"
 	"time"
 
-	"cgramap/internal/budget"
 	"cgramap/internal/faultinject"
 	"cgramap/internal/mapper"
 	"cgramap/internal/service"
 )
 
 func main() {
+	var sf mapper.SolveFlags
+	flag.IntVar(&sf.Mapper.Workers, "solve-workers", 0, "parallel solver workers inside each job: clause-sharing gang width and process worker budget (0 = all CPUs or $CGRAMAP_WORKERS; 1 = sequential solves)")
+	flag.Int64Var(&sf.Mapper.Seed, "seed", 0, "base solver seed for every job (0 = engine defaults)")
+	flag.Var(&sf.Mapper.Symmetry, "symmetry", "server-wide symmetry-breaking default for jobs that submit \"auto\": auto (on for auto-II, off at fixed II) | on | off")
+	flag.IntVar(&sf.ArtifactCache, "artifact-cache", 64, "artifact cache entries per class (cached MRRGs and formulation templates shared across jobs; <= 0 disables)")
 	var (
 		addr         = flag.String("addr", ":8537", "HTTP listen address")
 		workers      = flag.Int("workers", 4, "solver worker pool size (concurrent jobs)")
-		solveWorkers = flag.Int("solve-workers", 0, "parallel solver workers inside each job: clause-sharing gang width and process worker budget (0 = all CPUs or $CGRAMAP_WORKERS; 1 = sequential solves)")
-		seed         = flag.Int64("seed", 0, "base solver seed for every job (0 = engine defaults)")
-		symmetry     = flag.String("symmetry", "auto", "server-wide symmetry-breaking default for jobs that submit \"auto\": auto (on for auto-II, off at fixed II) | on | off")
 		queue        = flag.Int("queue", 64, "max queued solves before 429 backpressure")
 		cacheSize    = flag.Int("cache", 512, "result cache entries (negative disables)")
-		artifactSize = flag.Int("artifact-cache", 64, "artifact cache entries per class (cached MRRGs and formulation templates shared across jobs; negative disables)")
 		deadline     = flag.Duration("default-deadline", time.Minute, "solve deadline for jobs that set none")
 		maxDeadline  = flag.Duration("max-deadline", 15*time.Minute, "upper clamp on client-requested deadlines")
 		jobTimeout   = flag.Duration("job-timeout", 0, "server-side cap on each job's solve wall clock (0 = no cap)")
@@ -55,7 +55,7 @@ func main() {
 	flag.Parse()
 	logger := log.New(os.Stderr, "cgramapd: ", log.LstdFlags)
 
-	sym, err := mapper.ParseSymmetryMode(*symmetry)
+	mo, err := sf.Options()
 	if err != nil {
 		logger.Fatal(err)
 	}
@@ -63,26 +63,19 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *solveWorkers > 0 {
-		budget.SetGlobal(*solveWorkers)
-	}
-	sw := *solveWorkers
-	if sw == 0 {
-		sw = budget.Global().Size()
-	}
 	opts := service.Options{
-		Workers:              *workers,
-		QueueDepth:           *queue,
-		CacheEntries:         *cacheSize,
-		ArtifactCacheEntries: *artifactSize,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		CacheEntries: *cacheSize,
+		// -artifact-cache alone sizes the cache (mo.Artifacts; nil when
+		// disabled), so the server must not build its default one.
+		ArtifactCacheEntries: -1,
 		DefaultDeadline:      *deadline,
 		MaxDeadline:          *maxDeadline,
 		JobTimeout:           *jobTimeout,
 		DegradeOnOverload:    *degrade,
 		DegradedDeadline:     *degradedBy,
-		SolveWorkers:         sw,
-		Seed:                 *seed,
-		Symmetry:             sym,
+		Mapper:               mo,
 		Logf:                 logger.Printf,
 	}
 	var mw func(http.Handler) http.Handler

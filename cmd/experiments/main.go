@@ -19,12 +19,10 @@ import (
 	"cgramap/internal/anneal"
 	"cgramap/internal/arch"
 	"cgramap/internal/bench"
-	"cgramap/internal/budget"
 	"cgramap/internal/exper"
 	"cgramap/internal/mapper"
 	"cgramap/internal/portfolio"
 	"cgramap/internal/service"
-	"cgramap/internal/solve/bb"
 )
 
 func main() {
@@ -124,23 +122,23 @@ type sweepConfig struct {
 	engine    *string
 	fallback  *bool
 	daemon    *string
-	workers   *int
-	seed      *int64
-	symmetry  *string
+	solve     *mapper.SolveFlags
 }
 
 func sweepFlags(fs *flag.FlagSet) sweepConfig {
-	return sweepConfig{
+	c := sweepConfig{
 		timeout:   fs.Duration("timeout", 60*time.Second, "per-instance solver timeout"),
 		benchList: fs.String("benchmarks", "", "comma-separated benchmark subset (default: all 19)"),
 		verbose:   fs.Bool("v", false, "print per-instance progress to stderr"),
-		engine:    fs.String("engine", "cdcl", "ILP engine per cell: cdcl | bb | portfolio"),
-		fallback:  fs.Bool("fallback", false, "portfolio only: let cells degrade to heuristic witnesses"),
+		engine:    fs.String("engine", "cdcl", "engine per cell: cdcl | bb | portfolio | anneal (needs -fallback)"),
+		fallback:  fs.Bool("fallback", false, "let cells take heuristic witnesses: the portfolio's annealing fallback, or -engine anneal"),
 		daemon:    fs.String("daemon", "", "offload every solve to a cgramapd server at this URL (duplicate instances across sweeps hit its cache)"),
-		workers:   fs.Int("workers", 1, "parallel solver workers per cell: clause-sharing gang width and process worker budget (0 = all CPUs or $CGRAMAP_WORKERS; 1 = sequential, reproducible runtimes)"),
-		seed:      fs.Int64("seed", 0, "base solver seed (0 = engine defaults)"),
-		symmetry:  fs.String("symmetry", "auto", "symmetry-breaking constraints per cell: auto (off at fixed II) | on | off; same answer either way"),
+		solve:     &mapper.SolveFlags{},
 	}
+	fs.IntVar(&c.solve.Mapper.Workers, "workers", 1, "parallel solver workers per cell: clause-sharing gang width and process worker budget (0 = all CPUs or $CGRAMAP_WORKERS; 1 = sequential, reproducible runtimes)")
+	fs.Int64Var(&c.solve.Mapper.Seed, "seed", 0, "base solver seed (0 = engine defaults)")
+	fs.Var(&c.solve.Mapper.Symmetry, "symmetry", "symmetry-breaking constraints per cell: auto (off at fixed II) | on | off; same answer either way")
+	return c
 }
 
 // mapperOptions translates the engine flags into per-cell mapper options.
@@ -149,50 +147,17 @@ func sweepFlags(fs *flag.FlagSet) sweepConfig {
 // cgramapd job service with the same engine name; -fallback and -workers
 // do not cross the wire (the daemon solves with its own configuration).
 func (c sweepConfig) mapperOptions() (mapper.Options, error) {
-	engine, fallback, daemon := *c.engine, *c.fallback, *c.daemon
-	if *c.workers < 0 {
-		return mapper.Options{}, fmt.Errorf("-workers must be non-negative")
-	}
-	if *c.workers > 0 {
-		budget.SetGlobal(*c.workers)
-	}
-	workers := *c.workers
-	if workers == 0 {
-		workers = budget.Global().Size()
-	}
-	sym, err := mapper.ParseSymmetryMode(*c.symmetry)
+	opts, err := c.solve.Options()
 	if err != nil {
-		return mapper.Options{}, err
+		return opts, err
 	}
-	opts := mapper.Options{Workers: workers, Seed: *c.seed, Symmetry: sym}
-	if daemon != "" {
-		switch engine {
-		case "cdcl", "bb", "portfolio":
-			client := service.NewClient(daemon)
-			// Fail fast with a clear message rather than erroring per
-			// cell if the daemon is down or still booting.
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			if err := client.WaitHealthy(ctx); err != nil {
-				return opts, err
-			}
-			opts.MapWith = client.MapFunc(engine)
-			return opts, nil
-		default:
-			return opts, fmt.Errorf("unknown engine %q", engine)
-		}
+	if opts, err = portfolio.Resolve(*c.engine, *c.fallback, opts); err != nil {
+		return opts, err
 	}
-	switch engine {
-	case "cdcl":
-	case "bb":
-		opts.Solver = bb.New()
-	case "portfolio":
-		opts.MapWith = portfolio.MapFunc(portfolio.Options{
-			DisableFallback: !fallback, Workers: workers, Seed: *c.seed})
-	default:
-		return opts, fmt.Errorf("unknown engine %q", engine)
+	if *c.daemon != "" {
+		opts.MapWith, err = service.DialMapFunc(*c.daemon, *c.engine)
 	}
-	return opts, nil
+	return opts, err
 }
 
 func parseBenchList(s string) ([]string, error) {

@@ -24,11 +24,9 @@ import (
 	"strings"
 	"time"
 
-	"cgramap/internal/budget"
 	"cgramap/internal/mapper"
 	"cgramap/internal/portfolio"
 	"cgramap/internal/service"
-	"cgramap/internal/solve/bb"
 	"cgramap/internal/workload"
 )
 
@@ -126,13 +124,14 @@ func runFrontier(args []string, stdout io.Writer) error {
 	fabrics := fs.String("fabrics", "", "fabric list, e.g. \"8x8:diag;8x8:diag,hetero\" (default: the standard ladder)")
 	iis := fs.String("iis", "", "comma-separated IIs per fabric (default: each fabric's own context count)")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-probe budget; a timeout counts as unmappable")
-	engine := fs.String("engine", "cdcl", "solver per probe: cdcl | bb | portfolio")
+	engine := fs.String("engine", "cdcl", "solver per probe: cdcl | bb | portfolio | anneal (needs -fallback)")
 	daemon := fs.String("daemon", "", "solve via a cgramapd server at this URL instead of in-process")
-	workers := fs.Int("workers", 1, "solver workers per probe (1 = sequential, reproducible)")
-	seedSolver := fs.Int64("solver-seed", 0, "solver seed (0 = engine defaults)")
-	symmetry := fs.String("symmetry", "auto", "symmetry-breaking constraints per probe: auto (off at fixed II) | on | off; same answer either way")
-	artifactCache := fs.Int("artifact-cache", 32, "artifact cache entries per class (cached MRRGs and formulation templates shared across probes; <= 0 disables)")
-	fallback := fs.Bool("fallback", false, "portfolio only: allow heuristic witnesses")
+	var sf mapper.SolveFlags
+	fs.IntVar(&sf.Mapper.Workers, "workers", 1, "solver workers per probe (1 = sequential, reproducible)")
+	fs.Int64Var(&sf.Mapper.Seed, "solver-seed", 0, "solver seed (0 = engine defaults)")
+	fs.Var(&sf.Mapper.Symmetry, "symmetry", "symmetry-breaking constraints per probe: auto (off at fixed II) | on | off; same answer either way")
+	fs.IntVar(&sf.ArtifactCache, "artifact-cache", 32, "artifact cache entries per class (cached MRRGs and formulation templates shared across probes; <= 0 disables)")
+	fallback := fs.Bool("fallback", false, "allow heuristic witnesses: the portfolio's annealing fallback, or -engine anneal")
 	verbose := fs.Bool("v", false, "print per-probe progress to stderr")
 	jsonOut := fs.String("json", "", "write the frontier as JSON to this file (\"-\" = stdout)")
 	mdOut := fs.String("md", "", "write the frontier as markdown to this file (\"-\" = stdout)")
@@ -162,15 +161,18 @@ func runFrontier(args []string, stdout io.Writer) error {
 			spec.IIs = append(spec.IIs, ii)
 		}
 	}
-	mOpts, err := probeOptions(*engine, *daemon, *workers, *seedSolver, *fallback)
+	mOpts, err := sf.Options()
 	if err != nil {
 		return err
 	}
-	if mOpts.Symmetry, err = mapper.ParseSymmetryMode(*symmetry); err != nil {
+	if mOpts, err = portfolio.Resolve(*engine, *fallback, mOpts); err != nil {
 		return err
 	}
-	if *artifactCache > 0 {
-		mOpts.Artifacts = mapper.NewArtifactCache(*artifactCache)
+	if *daemon != "" {
+		// Every probe goes through the cgramapd job service instead.
+		if mOpts.MapWith, err = service.DialMapFunc(*daemon, *engine); err != nil {
+			return err
+		}
 	}
 	opts := workload.FrontierOptions{Timeout: *timeout, Mapper: mOpts}
 	if *verbose {
@@ -209,46 +211,6 @@ func runFrontier(args []string, stdout io.Writer) error {
 		return front.WriteMarkdown(stdout)
 	}
 	return nil
-}
-
-// probeOptions mirrors the experiments CLI's engine wiring: a daemon
-// URL reroutes every probe through the cgramapd job service (failing
-// fast if the server is unreachable), otherwise the engine solves
-// in-process.
-func probeOptions(engine, daemon string, workers int, seed int64, fallback bool) (mapper.Options, error) {
-	if workers < 0 {
-		return mapper.Options{}, fmt.Errorf("-workers must be non-negative")
-	}
-	if workers > 0 {
-		budget.SetGlobal(workers)
-	}
-	if workers == 0 {
-		workers = budget.Global().Size()
-	}
-	opts := mapper.Options{Workers: workers, Seed: seed}
-	switch engine {
-	case "cdcl", "bb", "portfolio":
-	default:
-		return opts, fmt.Errorf("unknown engine %q", engine)
-	}
-	if daemon != "" {
-		client := service.NewClient(daemon)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := client.WaitHealthy(ctx); err != nil {
-			return opts, err
-		}
-		opts.MapWith = client.MapFunc(engine)
-		return opts, nil
-	}
-	switch engine {
-	case "bb":
-		opts.Solver = bb.New()
-	case "portfolio":
-		opts.MapWith = portfolio.MapFunc(portfolio.Options{
-			DisableFallback: !fallback, Workers: workers, Seed: seed})
-	}
-	return opts, nil
 }
 
 // runReport re-renders a saved JSON frontier as markdown.

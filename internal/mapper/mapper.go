@@ -25,7 +25,31 @@ const (
 	MinimizeRouting
 )
 
-// Options configures the ILP mapper.
+// String returns "feasibility" or "routing".
+func (m ObjectiveMode) String() string {
+	if m == MinimizeRouting {
+		return "routing"
+	}
+	return "feasibility"
+}
+
+// ParseObjective resolves an -objective flag value; "" selects
+// feasibility.
+func ParseObjective(s string) (ObjectiveMode, error) {
+	switch s {
+	case "", "feasibility":
+		return Feasibility, nil
+	case "routing":
+		return MinimizeRouting, nil
+	}
+	return Feasibility, fmt.Errorf("mapper: unknown objective %q (want feasibility or routing)", s)
+}
+
+// Options configures the ILP mapper. It is the one declaration of the
+// solve knobs (Objective, Workers, Seed, Symmetry, Budget, Artifacts):
+// the portfolio, the job service and every CLI carry an Options value
+// rather than copies of its fields. Of these only Objective changes a
+// mapping's answer; service.Fingerprint keys jobs accordingly.
 type Options struct {
 	// Solver is the ILP engine; nil selects the CDCL engine.
 	Solver ilp.Solver
@@ -54,8 +78,7 @@ type Options struct {
 	// MapAuto sweeps and off for direct Map/BuildModel calls. Symmetry
 	// breaking removes symmetric duplicates from the search space but
 	// never an entire solution orbit, so feasibility status, minimal II
-	// and optimal objective are unchanged — like Workers and Seed it is
-	// a speed knob, exempt from job fingerprints.
+	// and optimal objective are unchanged.
 	Symmetry SymmetryMode
 	// Budget pays for parallelism beyond the caller's own goroutine;
 	// nil selects the process-wide budget.Global pool.
@@ -66,9 +89,8 @@ type Options struct {
 	// Map and BuildModel then stamp per-II models from a shared
 	// template instead of re-deriving the II-independent analysis, and
 	// MapAuto additionally reuses cached MRRGs across the ladder. The
-	// cache never changes any answer — stamped formulations are
-	// byte-identical to scratch ones — so, like Workers and Seed, the
-	// field is exempt from job fingerprints.
+	// cache never changes any answer: stamped formulations are
+	// byte-identical to scratch ones.
 	Artifacts *ArtifactCache
 	// MapWith, when non-nil, replaces the direct build-and-solve
 	// pipeline for callers that go through Dispatch (MapAuto, the

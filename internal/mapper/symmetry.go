@@ -51,6 +51,15 @@ func ParseSymmetryMode(s string) (SymmetryMode, error) {
 	return SymmetryAuto, fmt.Errorf("mapper: unknown symmetry mode %q (want auto, on or off)", s)
 }
 
+// Set parses a -symmetry flag value, making *SymmetryMode a flag.Value.
+func (m *SymmetryMode) Set(s string) error {
+	mode, err := ParseSymmetryMode(s)
+	if err == nil {
+		*m = mode
+	}
+	return err
+}
+
 // maxLexPositions caps each lexicographic chain. Lex-leader constraints
 // prune from the front of the chain — the first few positions decide
 // almost all of the ordering — while every position costs aux variables

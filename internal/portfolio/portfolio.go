@@ -56,17 +56,9 @@ type Options struct {
 	// Backoff is the base delay between a strategy's attempts; the k-th
 	// retry waits k*Backoff (default 10ms).
 	Backoff time.Duration
-	// Seed drives every derived reseed (default 1).
-	Seed int64
 	// ReseededRacers is how many extra CDCL strategies race with
 	// randomized branching seeds (default 1).
 	ReseededRacers int
-	// Workers, when > 1, adds a clause-sharing parallel CDCL gang of
-	// that width ("cdcl-par") to the race. The gang's extra workers pay
-	// tokens from Mapper.Budget (nil selects the process-wide pool), so
-	// the strategy narrows rather than oversubscribes when the machine
-	// is busy.
-	Workers int
 	// DisableFallback drops the annealing strategy, leaving only exact
 	// engines.
 	DisableFallback bool
@@ -74,8 +66,13 @@ type Options struct {
 	DisableBB bool
 	// Anneal parameterises the heuristic fallback.
 	Anneal anneal.Options
-	// Mapper carries the formulation options (objective, ablations).
-	// Its Solver and MapWith fields are ignored: the portfolio chooses
+	// Mapper carries the formulation and solve options. Mapper.Seed
+	// drives every derived reseed (0 selects 1), and Mapper.Workers > 1
+	// adds a clause-sharing parallel CDCL gang of that width
+	// ("cdcl-par") to the race, paying its extra workers from
+	// Mapper.Budget (nil selects the process-wide pool) so the strategy
+	// narrows rather than oversubscribes when the machine is busy. The
+	// Solver and MapWith fields are ignored: the portfolio chooses
 	// engines itself.
 	Mapper mapper.Options
 	// WrapSolver, when non-nil, decorates each exact strategy's engine
@@ -90,8 +87,8 @@ func (o *Options) fill() {
 	if o.Backoff == 0 {
 		o.Backoff = 10 * time.Millisecond
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
+	if o.Mapper.Seed == 0 {
+		o.Mapper.Seed = 1
 	}
 	if o.ReseededRacers == 0 {
 		o.ReseededRacers = 1
@@ -196,24 +193,24 @@ func strategies(g *dfg.Graph, mg *mrrg.Graph, opts Options) []strategy {
 			if attempt == 0 {
 				return cdcl.New()
 			}
-			return cdcl.NewSeeded(deriveSeed(opts.Seed, 0, attempt))
+			return cdcl.NewSeeded(deriveSeed(mo.Seed, 0, attempt))
 		}),
 	}
 	for k := 1; k <= opts.ReseededRacers; k++ {
 		k := k
 		sts = append(sts, exact(fmt.Sprintf("cdcl-rand%d", k), func(attempt int) ilp.Solver {
-			return cdcl.NewSeeded(deriveSeed(opts.Seed, k, attempt))
+			return cdcl.NewSeeded(deriveSeed(mo.Seed, k, attempt))
 		}))
 	}
-	if opts.Workers > 1 {
+	if mo.Workers > 1 {
 		idx := len(sts)
 		sts = append(sts, exact("cdcl-par", func(attempt int) ilp.Solver {
-			seed := opts.Seed
+			seed := mo.Seed
 			if attempt > 0 {
-				seed = deriveSeed(opts.Seed, idx, attempt)
+				seed = deriveSeed(mo.Seed, idx, attempt)
 			}
-			pe := cdcl.NewParallel(opts.Workers, seed)
-			pe.Budget = opts.Mapper.Budget
+			pe := cdcl.NewParallel(mo.Workers, seed)
+			pe.Budget = mo.Budget
 			return pe
 		}))
 	}
@@ -224,25 +221,42 @@ func strategies(g *dfg.Graph, mg *mrrg.Graph, opts Options) []strategy {
 		idx := len(sts)
 		sts = append(sts, strategy{name: annealStrategy, run: func(ctx context.Context, attempt int) (*mapper.Result, error) {
 			ao := opts.Anneal
-			ao.Seed = deriveSeed(opts.Seed, idx, attempt)
-			start := time.Now()
-			res, err := anneal.Map(ctx, g, mg, ao)
-			if err != nil {
-				return nil, err
-			}
-			out := &mapper.Result{
-				Status:      res.Status,
-				SolverStats: res.Stats,
-				SolveTime:   time.Since(start),
-			}
-			if res.Feasible {
-				out.Mapping = res.Mapping
-				out.Reason = "heuristic (simulated annealing) witness; no optimality or infeasibility proof"
-			}
-			return out, nil
+			ao.Seed = deriveSeed(mo.Seed, idx, attempt)
+			return mapAnneal(ctx, g, mg, ao)
 		}})
 	}
 	return sts
+}
+
+// heuristicWitness labels every mapping the annealer finds.
+const heuristicWitness = "heuristic (simulated annealing) witness; no optimality or infeasibility proof"
+
+// mapAnneal runs the annealer and reports its outcome as a mapper
+// result. A found mapping carries the heuristicWitness label; a miss is
+// Unknown, never an infeasibility proof, and says so.
+func mapAnneal(ctx context.Context, g *dfg.Graph, mg *mrrg.Graph, ao anneal.Options) (*mapper.Result, error) {
+	start := time.Now()
+	res, err := anneal.Map(ctx, g, mg, ao)
+	if err != nil {
+		return nil, err
+	}
+	out := &mapper.Result{
+		Status:      res.Status,
+		Reason:      "heuristic (simulated annealing) found no mapping; no infeasibility proof",
+		SolverStats: res.Stats,
+		SolveTime:   time.Since(start),
+	}
+	if res.Feasible {
+		out.Mapping = res.Mapping
+		out.Reason = heuristicWitness
+	}
+	return out, nil
+}
+
+// Proven reports whether res is a proof: a definitive answer that did
+// not come from the annealer.
+func Proven(res *mapper.Result) bool {
+	return res.Status != ilp.Unknown && res.Reason != heuristicWitness
 }
 
 // runContained executes one attempt with panic containment. A panic is
@@ -356,7 +370,7 @@ func Map(ctx context.Context, g *dfg.Graph, mg *mrrg.Graph, opts Options) (*Resu
 		return &Result{
 			Result:  winner,
 			Winner:  winnerName,
-			Proven:  winnerName != annealStrategy,
+			Proven:  Proven(winner),
 			Reports: reports,
 		}, nil
 	}
@@ -409,4 +423,38 @@ func MapFunc(opts Options) mapper.MapFunc {
 		}
 		return res.Result, nil
 	}
+}
+
+// Resolve returns opts with the named engine selected, the one place
+// engine names are read:
+//
+//   - cdcl: the CDCL engine (a seeded trajectory or a clause-sharing
+//     gang, per opts.Seed and opts.Workers);
+//   - bb: LP branch-and-bound;
+//   - portfolio: a race of every engine (MapFunc), degrading to an
+//     annealing witness only when heuristics is true;
+//   - anneal: the simulated-annealing heuristic, seeded from opts.Seed.
+//
+// heuristics says whether a heuristic answer may stand. Auto-II
+// ladders pass false, since a heuristic miss at some II proves nothing
+// about it; anneal is then rejected.
+func Resolve(engine string, heuristics bool, opts mapper.Options) (mapper.Options, error) {
+	opts.Solver, opts.MapWith = nil, nil
+	switch engine {
+	case "cdcl":
+	case "bb":
+		opts.Solver = bb.New()
+	case "portfolio":
+		opts.MapWith = MapFunc(Options{DisableFallback: !heuristics})
+	case annealStrategy:
+		if !heuristics {
+			return opts, fmt.Errorf("engine %q is a heuristic, but this run requires an exact engine (a heuristic cannot prove an II minimal)", engine)
+		}
+		opts.MapWith = func(ctx context.Context, g *dfg.Graph, mg *mrrg.Graph, mo mapper.Options) (*mapper.Result, error) {
+			return mapAnneal(ctx, g, mg, anneal.Options{Seed: mo.Seed})
+		}
+	default:
+		return opts, fmt.Errorf("unknown engine %q", engine)
+	}
+	return opts, nil
 }

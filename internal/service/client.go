@@ -341,10 +341,6 @@ func (c *Client) MapFunc(engine string) mapper.MapFunc {
 		if err := mg.Arch.WriteXML(&archXML); err != nil {
 			return nil, err
 		}
-		objective := "feasibility"
-		if opts.Objective == mapper.MinimizeRouting {
-			objective = "routing"
-		}
 		var deadlineMS int64
 		if dl, ok := ctx.Deadline(); ok {
 			if rem := time.Until(dl); rem > 0 {
@@ -356,7 +352,7 @@ func (c *Client) MapFunc(engine string) mapper.MapFunc {
 			ArchXML:    archXML.String(),
 			Contexts:   mg.Contexts,
 			Engine:     engine,
-			Objective:  objective,
+			Objective:  opts.Objective.String(),
 			DeadlineMS: deadlineMS,
 			// Forward the local symmetry preference: a remote auto-II or
 			// portfolio job honours it server-side.
@@ -390,4 +386,18 @@ func (c *Client) MapFunc(engine string) mapper.MapFunc {
 		}
 		return res, nil
 	}
+}
+
+// DialMapFunc waits for the cgramapd server at baseURL to report
+// healthy, failing fast (within 10s) with a clear error if it is down or
+// still booting rather than erroring per solve, and returns its MapFunc
+// for the named engine.
+func DialMapFunc(baseURL, engine string) (mapper.MapFunc, error) {
+	c := NewClient(baseURL)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := c.WaitHealthy(ctx); err != nil {
+		return nil, err
+	}
+	return c.MapFunc(engine), nil
 }

@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cgramap/internal/anneal"
 	"cgramap/internal/arch"
 	"cgramap/internal/bench"
 	"cgramap/internal/dfg"
@@ -39,7 +38,6 @@ import (
 	"cgramap/internal/mapper"
 	"cgramap/internal/mrrg"
 	"cgramap/internal/portfolio"
-	"cgramap/internal/solve/bb"
 )
 
 // Engine names accepted by job submissions.
@@ -100,34 +98,16 @@ type JobRequest struct {
 
 // JobSpec is a parsed, validated job: the exact inputs a worker solves.
 type JobSpec struct {
-	DFG       *dfg.Graph
-	Arch      *arch.Arch
-	Engine    string
-	Objective mapper.ObjectiveMode
-	AutoII    int
-	Deadline  time.Duration
-	// Workers is the solver-level parallelism inside this job: a
-	// clause-sharing CDCL gang (and, with AutoII, a speculative II
-	// sweep) of this width, paid for from the process-wide worker
-	// budget. Like the deadline it is excluded from the fingerprint —
-	// it changes how fast the answer arrives, never what it is.
-	Workers int
-	// Seed fixes the base search trajectory (also fingerprint-exempt:
-	// every trajectory proves the same answer).
-	Seed int64
-	// Symmetry selects the symmetry-breaking mode for the job's
-	// formulations. Symmetry breaking removes symmetric duplicates from
-	// the search space but never a whole solution orbit, so it is
-	// fingerprint-exempt like Workers and Seed: it changes how fast the
-	// answer arrives, never what it is.
-	Symmetry mapper.SymmetryMode
-	// Artifacts is the server-wide artifact cache (MRRGs, formulation
-	// templates), stamped onto every spec at parse time. Like Workers
-	// and Seed it is fingerprint-exempt: stamped formulations are
-	// byte-identical to scratch ones, so the cache changes how fast the
-	// answer arrives, never what it is. Nil when artifact caching is
-	// disabled.
-	Artifacts *mapper.ArtifactCache
+	DFG      *dfg.Graph
+	Arch     *arch.Arch
+	Engine   string
+	AutoII   int
+	Deadline time.Duration
+	// Mapper holds the job's solve options: the server's Options.Mapper
+	// with the request's objective and symmetry choice applied and the
+	// server-wide artifact cache attached. The engine's Solver or
+	// MapWith is resolved from Engine at solve time.
+	Mapper mapper.Options
 	// Fingerprint is the canonical content-address of this job (see
 	// Fingerprint); equal fingerprints have equal answers.
 	Fingerprint string
@@ -218,14 +198,17 @@ func errf(code int, format string, args ...any) *Error {
 
 // Fingerprint computes the canonical content-address of a job: the DFG
 // structure hash, the architecture structure hash (which covers the
-// context count), and the solver-relevant options. Names and the
-// submission's deadline are deliberately excluded — a deadline changes
-// whether the answer arrives, never what it is, and only definitive
-// answers enter the cache.
-func Fingerprint(g *dfg.Graph, a *arch.Arch, engine string, objective mapper.ObjectiveMode, autoII int) string {
+// context count), the engine, the auto-II bound and, of the solve
+// options, only Mapper.Objective. This is the one fingerprint-exemption
+// rule: every other mapper.Options field (Workers, Seed, Symmetry,
+// Budget, Artifacts, the ablations) changes how fast the answer
+// arrives, never what it is, and Solver/MapWith follow from the engine.
+// Names and the deadline are excluded too: a deadline changes whether
+// the answer arrives, and only definitive answers enter the cache.
+func Fingerprint(spec *JobSpec) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "cgramap/job/v1\n%s\n%s\n%s\n%d\n%d\n",
-		g.Fingerprint(), a.Fingerprint(), engine, int(objective), autoII)
+		spec.DFG.Fingerprint(), spec.Arch.Fingerprint(), spec.Engine, int(spec.Mapper.Objective), spec.AutoII)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -239,12 +222,10 @@ type Options struct {
 	// CacheEntries bounds the result cache (default 512; negative
 	// disables caching).
 	CacheEntries int
-	// ArtifactCacheEntries bounds the artifact cache shared by every
-	// job: generated MRRGs and formulation templates, each in their own
-	// LRU of this many entries (default 64; negative disables artifact
-	// caching entirely). Purely a speed knob — cached artifacts are
-	// content-addressed and stamped formulations are byte-identical to
-	// scratch ones.
+	// ArtifactCacheEntries sizes the artifact cache New builds when
+	// Mapper.Artifacts is nil: generated MRRGs and formulation templates,
+	// each in their own LRU of this many entries (default 64; negative
+	// disables artifact caching entirely).
 	ArtifactCacheEntries int
 	// DefaultDeadline applies to jobs that set no deadline (default 60s).
 	DefaultDeadline time.Duration
@@ -254,19 +235,15 @@ type Options struct {
 	// status/result polling before the oldest are forgotten
 	// (default 4096).
 	RetainJobs int
-	// SolveWorkers requests solver-level parallelism of this width
-	// inside every job (see JobSpec.Workers); <= 1 keeps each solve
-	// sequential. The job pool (Workers) and the solver gangs share the
-	// process-wide worker budget, so layering the two degrades
-	// gracefully instead of oversubscribing.
-	SolveWorkers int
-	// Seed fixes the base solver trajectory of every job (0 keeps the
-	// engines' defaults).
-	Seed int64
-	// Symmetry is the server-wide symmetry-breaking default for jobs
-	// that submit "auto" (or nothing). A job's explicit "on"/"off" wins.
-	// See JobSpec.Symmetry.
-	Symmetry mapper.SymmetryMode
+	// Mapper holds the solve options every job starts from. Its Workers
+	// is the solver-level parallelism inside each job (<= 1 keeps each
+	// solve sequential; the job pool and the solver gangs share the
+	// process-wide worker budget, so layering the two degrades instead
+	// of oversubscribing), and its Symmetry is the default for jobs that
+	// submit "auto" or nothing. Artifacts, when non-nil, is the
+	// server-wide artifact cache shared by every job. Each request sets
+	// Objective, and its engine sets Solver and MapWith.
+	Mapper mapper.Options
 	// JobTimeout caps every job's solve wall clock server-side, measured
 	// from the moment a worker starts it (0 = no cap). It bounds the
 	// long tail regardless of the deadline the client asked for.
@@ -402,8 +379,11 @@ func New(opts Options) *Server {
 		queue:    make(chan *exec, opts.QueueDepth),
 		cache:    newResultCache(opts.CacheEntries),
 	}
-	if opts.ArtifactCacheEntries > 0 {
+	s.artifacts = opts.Mapper.Artifacts
+	if s.artifacts == nil && opts.ArtifactCacheEntries > 0 {
 		s.artifacts = mapper.NewArtifactCache(opts.ArtifactCacheEntries)
+	}
+	if s.artifacts != nil {
 		s.Metrics.artifactStats = s.artifacts.Stats
 	}
 	s.Metrics.workers = opts.Workers
@@ -512,60 +492,37 @@ func (s *Server) ParseRequest(req *JobRequest) (*JobSpec, error) {
 		a = &aa
 	}
 
-	engine := req.Engine
-	if engine == "" {
-		engine = EngineCDCL
+	spec := &JobSpec{DFG: g, Arch: a, Engine: req.Engine, AutoII: req.AutoII, Mapper: s.opts.Mapper}
+	if spec.Engine == "" {
+		spec.Engine = EngineCDCL
 	}
-	switch engine {
-	case EngineCDCL, EngineBB, EnginePortfolio, EngineAnneal:
-	default:
-		return nil, errf(400, "unknown engine %q", engine)
+	if _, err := portfolio.Resolve(spec.Engine, req.AutoII == 0, spec.Mapper); err != nil {
+		return nil, errf(400, "%v", err)
 	}
-	if engine == EngineAnneal && req.AutoII > 0 {
-		return nil, errf(400, "auto_ii requires an exact engine (a heuristic cannot prove an II minimal)")
+	if spec.Mapper.Objective, err = mapper.ParseObjective(req.Objective); err != nil {
+		return nil, errf(400, "%v", err)
 	}
-
-	objective := mapper.Feasibility
-	switch req.Objective {
-	case "", "feasibility":
-	case "routing":
-		objective = mapper.MinimizeRouting
-	default:
-		return nil, errf(400, "unknown objective %q", req.Objective)
-	}
-
 	symmetry, err := mapper.ParseSymmetryMode(req.Symmetry)
 	if err != nil {
 		return nil, errf(400, "%v", err)
 	}
-	if symmetry == mapper.SymmetryAuto {
-		// The server-wide default fills in only when the job itself did
-		// not choose; auto then resolves inside the mapper (on for
-		// auto-II ladders, off at a fixed II).
-		symmetry = s.opts.Symmetry
+	if symmetry != mapper.SymmetryAuto {
+		// The job's explicit choice wins; "auto" keeps the server-wide
+		// default, which resolves inside the mapper when it is auto too
+		// (on for auto-II ladders, off at a fixed II).
+		spec.Mapper.Symmetry = symmetry
 	}
+	spec.Mapper.Artifacts = s.artifacts
 
-	deadline := s.opts.DefaultDeadline
+	spec.Deadline = s.opts.DefaultDeadline
 	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
+		spec.Deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 	}
-	if deadline > s.opts.MaxDeadline {
-		deadline = s.opts.MaxDeadline
+	if spec.Deadline > s.opts.MaxDeadline {
+		spec.Deadline = s.opts.MaxDeadline
 	}
-
-	return &JobSpec{
-		DFG:         g,
-		Arch:        a,
-		Engine:      engine,
-		Objective:   objective,
-		AutoII:      req.AutoII,
-		Deadline:    deadline,
-		Workers:     s.opts.SolveWorkers,
-		Seed:        s.opts.Seed,
-		Symmetry:    symmetry,
-		Artifacts:   s.artifacts,
-		Fingerprint: Fingerprint(g, a, engine, objective, req.AutoII),
-	}, nil
+	spec.Fingerprint = Fingerprint(spec)
+	return spec, nil
 }
 
 // Submit accepts a job: answered from cache, coalesced onto an identical
@@ -1012,47 +969,12 @@ func snapshot(j *job) *JobStatus {
 // engine it names, honouring ctx for cancellation and deadline. It is
 // the default Options.Solve.
 func RunSpec(ctx context.Context, spec *JobSpec) (*JobResult, error) {
+	mo, err := portfolio.Resolve(spec.Engine, spec.AutoII == 0, spec.Mapper)
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
 	out := &JobResult{Engine: spec.Engine}
-
-	if spec.Engine == EngineAnneal {
-		mg, err := specMRRG(spec)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		res, err := anneal.Map(ctx, spec.DFG, mg, anneal.Options{})
-		if err != nil {
-			return nil, err
-		}
-		out.Status = res.Status
-		out.Feasible = res.Feasible
-		out.SolveMS = ms(time.Since(start))
-		if res.Feasible {
-			out.Reason = "heuristic (simulated annealing) witness; no optimality or infeasibility proof"
-			out.Mapping = res.Mapping.Portable()
-		}
-		return out, nil
-	}
-
-	mo := mapper.Options{Objective: spec.Objective, Workers: spec.Workers, Seed: spec.Seed,
-		Symmetry: spec.Symmetry, Artifacts: spec.Artifacts}
-	switch spec.Engine {
-	case EngineCDCL:
-	case EngineBB:
-		mo.Solver = bb.New()
-	case EnginePortfolio:
-	default:
-		return nil, fmt.Errorf("service: unknown engine %q", spec.Engine)
-	}
-
 	if spec.AutoII > 0 {
-		if spec.Engine == EnginePortfolio {
-			// Exact engines only inside the auto-II loop: a heuristic
-			// miss at some II proves nothing, which would poison the
-			// "smallest feasible II" claim.
-			mo.MapWith = portfolio.MapFunc(portfolio.Options{
-				DisableFallback: true, Workers: spec.Workers, Seed: spec.Seed})
-		}
 		auto, err := mapper.MapAuto(ctx, spec.DFG, spec.Arch, spec.AutoII, mo)
 		if err != nil {
 			return nil, err
@@ -1068,8 +990,7 @@ func RunSpec(ctx context.Context, spec *JobSpec) (*JobResult, error) {
 		return nil, err
 	}
 	if spec.Engine == EnginePortfolio {
-		pres, err := portfolio.Map(ctx, spec.DFG, mg, portfolio.Options{
-			Mapper: mo, Workers: spec.Workers, Seed: spec.Seed})
+		pres, err := portfolio.Map(ctx, spec.DFG, mg, portfolio.Options{Mapper: mo})
 		if err != nil {
 			return nil, err
 		}
@@ -1078,12 +999,12 @@ func RunSpec(ctx context.Context, spec *JobSpec) (*JobResult, error) {
 		out.Proven = pres.Proven && pres.Status != ilp.Unknown
 		return out, nil
 	}
-	res, err := mapper.Map(ctx, spec.DFG, mg, mo)
+	res, err := mapper.Dispatch(ctx, spec.DFG, mg, mo)
 	if err != nil {
 		return nil, err
 	}
 	fillFromMapperResult(out, res)
-	out.Proven = res.Status != ilp.Unknown
+	out.Proven = portfolio.Proven(res)
 	return out, nil
 }
 
@@ -1092,26 +1013,21 @@ func RunSpec(ctx context.Context, spec *JobSpec) (*JobResult, error) {
 // degrades to when every exact engine times out. It is the default
 // Options.SolveDegraded.
 func RunSpecDegraded(ctx context.Context, spec *JobSpec) (*JobResult, error) {
+	mo, err := portfolio.Resolve(EngineAnneal, true, spec.Mapper)
+	if err != nil {
+		return nil, err
+	}
 	mg, err := specMRRG(spec)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	res, err := anneal.Map(ctx, spec.DFG, mg, anneal.Options{Seed: spec.Seed})
+	res, err := mapper.Dispatch(ctx, spec.DFG, mg, mo)
 	if err != nil {
 		return nil, err
 	}
-	out := &JobResult{
-		Engine:   EngineAnneal,
-		Degraded: true,
-		Status:   res.Status,
-		Feasible: res.Feasible,
-		Reason:   DegradedReason,
-		SolveMS:  ms(time.Since(start)),
-	}
-	if res.Feasible {
-		out.Mapping = res.Mapping.Portable()
-	}
+	out := &JobResult{Engine: EngineAnneal, Degraded: true}
+	fillFromMapperResult(out, res)
+	out.Reason = DegradedReason
 	return out, nil
 }
 
@@ -1119,8 +1035,8 @@ func RunSpecDegraded(ctx context.Context, spec *JobSpec) (*JobResult, error) {
 // server-wide artifact cache when the spec carries one, generating from
 // scratch otherwise.
 func specMRRG(spec *JobSpec) (*mrrg.Graph, error) {
-	if spec.Artifacts != nil {
-		return spec.Artifacts.MRRG(spec.Arch)
+	if spec.Mapper.Artifacts != nil {
+		return spec.Mapper.Artifacts.MRRG(spec.Arch)
 	}
 	return mrrg.Generate(spec.Arch)
 }

@@ -524,29 +524,53 @@ func TestHTTPEndToEnd(t *testing.T) {
 }
 
 // TestFingerprintSemantics: the job fingerprint ignores the deadline and
-// distinguishes engines, objectives and auto-II bounds.
+// the speed knobs (job symmetry, the server's seed and workers) and
+// distinguishes engines, objectives and auto-II bounds. Two digests are
+// pinned, so cache keys and job IDs never move by accident.
 func TestFingerprintSemantics(t *testing.T) {
-	s := New(Options{Workers: 1, Solve: func(ctx context.Context, spec *JobSpec) (*JobResult, error) {
+	solve := func(ctx context.Context, spec *JobSpec) (*JobResult, error) {
 		return fakeResult("fp"), nil
-	}})
+	}
+	s := New(Options{Workers: 1, Solve: solve})
 	defer s.Shutdown(context.Background())
+	tuned := New(Options{Workers: 1, Solve: solve,
+		Mapper: mapper.Options{Workers: 3, Seed: 9, Symmetry: mapper.SymmetryOn}})
+	defer tuned.Shutdown(context.Background())
 
 	base := gridReq(2)
-	fp := func(mutate func(*JobRequest)) string {
+	fpOn := func(srv *Server, mutate func(*JobRequest)) string {
 		r := *base
 		if mutate != nil {
 			mutate(&r)
 		}
-		spec, err := s.ParseRequest(&r)
+		spec, err := srv.ParseRequest(&r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return spec.Fingerprint
 	}
+	fp := func(mutate func(*JobRequest)) string { return fpOn(s, mutate) }
 
 	ref := fp(nil)
+	if want := "85e2918b87a1358a2d0553e62d032f28ca0c8110db5cc0b92b3bf8928095b522"; ref != want {
+		t.Errorf("fingerprint of the reference job moved: %s, want %s", ref, want)
+	}
+	ladder := fp(func(r *JobRequest) {
+		r.Contexts, r.AutoII, r.Engine, r.Objective = 1, 4, EnginePortfolio, "routing"
+	})
+	if want := "67fa97d202e1985087b90fa75cc67d965d86d51407f3098b9715c8aa889026e1"; ladder != want {
+		t.Errorf("fingerprint of the routing portfolio ladder job moved: %s, want %s", ladder, want)
+	}
 	if fp(func(r *JobRequest) { r.DeadlineMS = 12345 }) != ref {
 		t.Error("deadline leaked into the job fingerprint")
+	}
+	for _, sym := range []string{"on", "off"} {
+		if fp(func(r *JobRequest) { r.Symmetry = sym }) != ref {
+			t.Errorf("job symmetry %q leaked into the job fingerprint", sym)
+		}
+	}
+	if fpOn(tuned, nil) != ref {
+		t.Error("the server's seed, workers or symmetry default leaked into the job fingerprint")
 	}
 	if fp(func(r *JobRequest) { r.Engine = EnginePortfolio }) == ref {
 		t.Error("engine not part of the job fingerprint")
@@ -559,6 +583,96 @@ func TestFingerprintSemantics(t *testing.T) {
 	}
 	if fp(func(r *JobRequest) { r.Contexts = 3 }) == ref {
 		t.Error("context count not part of the job fingerprint")
+	}
+}
+
+// TestFingerprintClassifiesEveryKnob is the one fingerprint-exemption
+// rule as a test: every mapper.Options field is either keyed into the
+// job fingerprint or exempt because it never changes a job's answer. A
+// new solve knob fails here until someone classifies it, and then
+// Fingerprint must follow.
+func TestFingerprintClassifiesEveryKnob(t *testing.T) {
+	keyed := map[string]bool{"Objective": true}
+	exempt := map[string]string{
+		"Solver":          "follows from the keyed engine name",
+		"MapWith":         "follows from the keyed engine name",
+		"DisablePruning":  "ablation; pruning is sound",
+		"DisablePresolve": "ablation; the presolve is sound",
+		"Workers":         "parallel width; every gang proves the same answer",
+		"Seed":            "search trajectory; every trajectory proves the same answer",
+		"Symmetry":        "breaks symmetric duplicates, never a whole solution orbit",
+		"Budget":          "pays for parallelism only",
+		"Artifacts":       "stamped formulations are byte-identical to scratch ones",
+	}
+	typ := reflect.TypeOf(mapper.Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if keyed[name] == (exempt[name] != "") {
+			t.Errorf("mapper.Options.%s must be either keyed into the job fingerprint or exempt from it", name)
+		}
+	}
+	for name := range exempt {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("exempt list names %s, which mapper.Options no longer has", name)
+		}
+	}
+
+	// The keyed field moves the digest; the exempt ones do not.
+	g, a := mustInstance(t, gridReq(2))
+	spec := &JobSpec{DFG: g, Arch: a, Engine: EngineCDCL}
+	ref := Fingerprint(spec)
+	spec.Mapper = mapper.Options{Workers: 4, Seed: 5, Symmetry: mapper.SymmetryOn,
+		DisablePruning: true, DisablePresolve: true, Artifacts: mapper.NewArtifactCache(1)}
+	if Fingerprint(spec) != ref {
+		t.Error("an exempt knob moved the job fingerprint")
+	}
+	spec.Mapper.Objective = mapper.MinimizeRouting
+	if Fingerprint(spec) == ref {
+		t.Error("the objective did not move the job fingerprint")
+	}
+}
+
+// TestParseRequestSolveOptions: each job starts from the server's solve
+// options, takes its objective from the request, and its symmetry too
+// when it says "on" or "off"; "auto" (or nothing) keeps the server
+// default.
+func TestParseRequestSolveOptions(t *testing.T) {
+	for _, def := range []mapper.SymmetryMode{mapper.SymmetryAuto, mapper.SymmetryOn, mapper.SymmetryOff} {
+		s := New(Options{Workers: 1, Mapper: mapper.Options{Workers: 3, Seed: 9, Symmetry: def}})
+		for req, want := range map[string]mapper.SymmetryMode{
+			"": def, "auto": def, "on": mapper.SymmetryOn, "off": mapper.SymmetryOff,
+		} {
+			r := gridReq(2)
+			r.Symmetry, r.Objective = req, "routing"
+			spec, err := s.ParseRequest(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mo := spec.Mapper
+			if mo.Symmetry != want {
+				t.Errorf("server default %v, job %q: symmetry %v, want %v", def, req, mo.Symmetry, want)
+			}
+			if mo.Workers != 3 || mo.Seed != 9 || mo.Objective != mapper.MinimizeRouting {
+				t.Errorf("job options %+v: want the server's workers 3 and seed 9, and the routing objective", mo)
+			}
+			if mo.Artifacts == nil || mo.Artifacts != s.artifacts {
+				t.Error("job does not carry the server-wide artifact cache")
+			}
+		}
+		s.Shutdown(context.Background())
+	}
+
+	// The heuristic engine is a fixed-II engine only.
+	s := New(Options{Workers: 1})
+	defer s.Shutdown(context.Background())
+	r := gridReq(2)
+	r.Engine = EngineAnneal
+	if _, err := s.ParseRequest(r); err != nil {
+		t.Errorf("fixed-II anneal job refused: %v", err)
+	}
+	r.AutoII = 4
+	if _, err := s.ParseRequest(r); err == nil || err.(*Error).Code != 400 {
+		t.Errorf("auto-II anneal job: %v, want a 400", err)
 	}
 }
 
@@ -581,7 +695,7 @@ func TestLegacyIncrementalFieldIgnored(t *testing.T) {
 
 	// Each body goes to its own server, so neither answer is a cache hit.
 	solve := func(body []byte) (*JobStatus, *JobResult) {
-		s := New(Options{Workers: 1, SolveWorkers: 1, Seed: 1})
+		s := New(Options{Workers: 1, Mapper: mapper.Options{Workers: 1, Seed: 1}})
 		defer s.Shutdown(context.Background())
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
